@@ -13,14 +13,14 @@ from hyperadapt.data import synth_filter_bank
 from hyperadapt.decomp import decompose_bank
 from hyperadapt.filteradapt import adapt, decompress
 from hyperadapt.nn import (
+    CpFirstLayer,
+    TuckerFirstLayer,
     build_model,
     build_reduce,
     build_scratch,
     conv2d,
     count_trainable,
-    cp_pipeline_forward,
     first_layer_from_adapted,
-    tucker_pipeline_forward,
 )
 
 channels, c_out, k, rank = 64, 8, 7, 2
@@ -28,11 +28,11 @@ bank = synth_filter_bank(c_out, k, seed=2, noise=0.02)
 rng = np.random.default_rng(0)
 x = rng.standard_normal((channels, 32, 32))
 
-for kind, fwd in (("cp", cp_pipeline_forward), ("tucker", tucker_pipeline_forward)):
+for kind, pipeline in (("cp", CpFirstLayer), ("tucker", TuckerFirstLayer)):
     decomps, _ = decompose_bank(bank, kind, rank)
     layer = adapt(decomps, channels, bias=bank.bias)
     dense_out = conv2d(x, decompress(layer), layer.bias)
-    pipe_out = fwd(layer, x)
+    pipe_out = pipeline(layer).forward(x)
     print(f"{kind:>6}: pipeline output {pipe_out.shape}, "
           f"max abs diff vs dense {np.abs(pipe_out - dense_out).max():.2e}")
 

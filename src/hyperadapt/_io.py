@@ -1,12 +1,26 @@
-"""Low-level helpers shared by the binary file formats and the CLI."""
+"""Low-level helpers shared by the binary file formats and the CLI.
+
+Every container is magic bytes followed by little-endian fields: unsigned
+scalars, typed arrays of a declared shape and length-prefixed text.
+:class:`Writer` packs them; :func:`reading` yields a :class:`Reader` that
+knows how many bytes the file holds, so a size declared in a header is
+checked against the bytes left before anything is read or allocated, and
+bytes left over after the last field are rejected.
+"""
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import FormatError
+
+_UINT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -35,25 +49,96 @@ def read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def expect_magic(f, magic: bytes) -> None:
-    got = f.read(len(magic))
-    if got != magic:
-        raise FormatError(f"bad magic: expected {magic!r}, got {got!r}")
+class Writer:
+    """Accumulates one container's fields; :meth:`save` writes them atomically."""
+
+    def __init__(self, magic: bytes):
+        self._parts = [magic]
+
+    def _uints(self, size: int, values) -> None:
+        self._parts.append(struct.pack(f"<{len(values)}{_UINT[size]}", *values))
+
+    def u8(self, *values: int) -> None:
+        self._uints(1, values)
+
+    def u32(self, *values: int) -> None:
+        self._uints(4, values)
+
+    def u64(self, *values: int) -> None:
+        self._uints(8, values)
+
+    def array(self, a, dtype: str) -> None:
+        """Row-major data of ``a`` as ``dtype`` (e.g. ``"<f8"``); the shape is not written."""
+        self._parts.append(np.asarray(a, dtype=dtype).tobytes())
+
+    def text(self, value: str, prefix: int = 4, encoding: str = "utf-8") -> None:
+        """Encoded text preceded by its byte length as a ``prefix``-byte unsigned int."""
+        raw = value.encode(encoding)
+        self._uints(prefix, (len(raw),))
+        self._parts.append(raw)
+
+    def save(self, path: str) -> None:
+        atomic_write_bytes(path, b"".join(self._parts))
 
 
-def read_u32s(f, count: int, what: str) -> tuple[int, ...]:
-    return struct.unpack("<" + "I" * count, read_exact(f, 4 * count, what))
+class Reader:
+    """Sequential reader over an open container that tracks the bytes left."""
+
+    def __init__(self, f, size: int):
+        self._f = f
+        self.left = size
+
+    def _take(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise FormatError(
+                f"truncated file: expected {n} bytes for {what}, got {self.left}"
+            )
+        self.left -= n
+        return read_exact(self._f, n, what)
+
+    def _uints(self, size: int, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}{_UINT[size]}", self._take(size * count, what))
+
+    def u8(self, what: str) -> int:
+        return self._uints(1, 1, what)[0]
+
+    def u32(self, what: str) -> int:
+        return self._uints(4, 1, what)[0]
+
+    def u64(self, what: str) -> int:
+        return self._uints(8, 1, what)[0]
+
+    def u32s(self, count: int, what: str) -> tuple[int, ...]:
+        return self._uints(4, count, what)
+
+    def array(self, dtype: str, shape, what: str) -> np.ndarray:
+        """A writable native-endian copy of ``shape`` values stored as ``dtype``."""
+        dt = np.dtype(dtype)
+        raw = self._take(dt.itemsize * math.prod(shape), what)
+        try:
+            return np.frombuffer(raw, dtype=dt).reshape(shape).astype(dt.newbyteorder("="))
+        except ValueError:  # too many axes, or a zero-size shape numpy cannot index
+            raise FormatError(f"{what} has a shape numpy cannot hold: {shape}") from None
+
+    def text(self, what: str, prefix: int = 4, encoding: str = "utf-8") -> str:
+        raw = self._take(self._uints(prefix, 1, f"{what} length")[0], what)
+        try:
+            return raw.decode(encoding)
+        except UnicodeDecodeError:
+            raise FormatError(f"{what} is not valid {encoding} text") from None
 
 
-def pack_u32s(*values: int) -> bytes:
-    return struct.pack("<" + "I" * len(values), *values)
+@contextmanager
+def reading(path: str, magic: bytes):
+    """Open a container, check its magic and yield a :class:`Reader`.
 
-
-def thread_count() -> int:
-    """Parallelism cap from HYPERADAPT_THREADS; defaults to serial."""
-    raw = os.environ.get("HYPERADAPT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    When the body finishes without error, any unread byte is a FormatError.
+    """
+    with open(path, "rb") as f:
+        r = Reader(f, os.fstat(f.fileno()).st_size)
+        got = r._take(min(len(magic), r.left), "magic")
+        if got != magic:
+            raise FormatError(f"bad magic: expected {magic!r}, got {got!r}")
+        yield r
+        if r.left:
+            raise FormatError(f"{r.left} trailing bytes after the {magic.decode()} data")

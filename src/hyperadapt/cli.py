@@ -3,9 +3,7 @@
 Every command is deterministic given its flags. Exit codes: 0 success,
 1 I/O problems (missing or malformed files), 2 usage problems (bad flags or
 config), 3 numerical failures (non-finite loss, failed gradient check).
-Output files are written atomically. The ``HYPERADAPT_THREADS`` environment
-variable caps internal parallelism (rank sweeps, per-filter decompositions);
-results never depend on it.
+Output files are written atomically.
 
 Run configurations are plain ``key = value`` files; ``#`` starts a comment.
 See :data:`RunConfig` for the keys and their defaults.
@@ -17,12 +15,11 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._io import atomic_write_bytes, atomic_write_text, thread_count
+from ._io import atomic_write_bytes, atomic_write_text
 from .data import (
     apply_stats,
     load_tiles,
@@ -196,7 +193,8 @@ def _run_training(cfg: RunConfig):
     train_ts, test_ts = _load_task(cfg)
     bank = _load_bank(cfg)
     first = _build_first_layer(cfg, bank, train_ts.channels)
-    classes = int(max(train_ts.labels.max(), test_ts.labels.max())) + 1
+    # normalize() has already rejected an empty training set; train() rejects an empty test set.
+    classes = int(np.concatenate((train_ts.labels, test_ts.labels)).max()) + 1
     model = build_model(first, classes, pool=(cfg.pool, cfg.pool), seed=cfg.seed)
     tc = TrainConfig(lr0=cfg.lr0, gamma=cfg.gamma, batch_size=cfg.batch,
                      epochs=cfg.epochs, seed=cfg.seed)
@@ -279,20 +277,11 @@ def cmd_rank_sweep(args) -> int:
     if args.seeds < 1:
         raise UsageError("need at least one seed")
 
-    jobs = [(rank, cfg.seed + s) for rank in ranks for s in range(args.seeds)]
-
-    def run(job):
-        rank, seed = job
-        sub = replace(cfg, rank=rank, seed=seed)
-        model, rows = _run_training(sub)
-        return rank, rows[-1][4] if rows else 0.0, count_trainable(model)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    results = []
+    for rank in ranks:
+        for s in range(args.seeds):
+            model, rows = _run_training(replace(cfg, rank=rank, seed=cfg.seed + s))
+            results.append((rank, rows[-1][4] if rows else 0.0, count_trainable(model)))
 
     lines = ["rank,mean_accuracy,sem,trainable_params"]
     for rank in ranks:

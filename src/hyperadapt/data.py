@@ -22,13 +22,11 @@ channel-major data, optional int32 label plane) and ``TLS1`` tile caches
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._io import atomic_write_bytes, expect_magic, pack_u32s, read_exact, read_u32s
+from ._io import Writer, reading
 from .errors import DataError, FormatError, ShapeError
 from .filteradapt import FilterBank
 from .tensor import as_tensor
@@ -120,32 +118,27 @@ class TileSet:
 
 
 def save_cube(cube: HyperCube, path: str) -> None:
-    buf = io.BytesIO()
-    buf.write(HSC_MAGIC)
-    buf.write(pack_u32s(*cube.data.shape))
-    buf.write(cube.data.astype("<f4").tobytes())
+    w = Writer(HSC_MAGIC)
+    w.u32(*cube.data.shape)
+    w.array(cube.data, "<f4")
     if cube.labels is not None:
-        buf.write(cube.labels.astype("<i4").tobytes())
-    atomic_write_bytes(path, buf.getvalue())
+        w.array(cube.labels, "<i4")
+    w.save(path)
 
 
 def load_cube(path: str) -> HyperCube:
     """Read an HSC1 cube; the label plane is present iff bytes remain after the data."""
-    with open(path, "rb") as f:
-        expect_magic(f, HSC_MAGIC)
-        c, h, w = read_u32s(f, 3, "cube extents")
+    with reading(path, HSC_MAGIC) as r:
+        c, h, w = r.u32s(3, "cube extents")
         if c < 1 or h < 1 or w < 1:
             raise ShapeError(f"cube extents must all be >= 1, got {(c, h, w)}")
-        data = np.frombuffer(read_exact(f, 4 * c * h * w, "cube data"), dtype="<f4")
-        rest = f.read()
-    labels = None
-    if rest:
-        if len(rest) != 4 * h * w:
-            raise FormatError(
-                f"label plane should be {4 * h * w} bytes, found {len(rest)}"
-            )
-        labels = np.frombuffer(rest, dtype="<i4").reshape(h, w).copy()
-    return HyperCube(data.astype(np.float64).reshape(c, h, w), labels)
+        data = r.array("<f4", (c, h, w), "cube data")
+        labels = None
+        if r.left:
+            if r.left != 4 * h * w:
+                raise FormatError(f"label plane should be {4 * h * w} bytes, found {r.left}")
+            labels = r.array("<i4", (h, w), "label plane")
+    return HyperCube(data.astype(np.float64), labels)
 
 
 def _axis_weights(n_in: int, n_out: int):
@@ -352,31 +345,29 @@ def save_tiles(ts: TileSet, path: str) -> None:
     present, n int32 labels, then n*c*h*w float64 tiles.
     """
     n, c, h, w = ts.tiles.shape
-    buf = io.BytesIO()
-    buf.write(TLS_MAGIC)
-    buf.write(struct.pack("<BB", _SPLIT_TAGS[ts.split], 1 if ts.stats else 0))
-    buf.write(pack_u32s(n, c, h, w))
+    wr = Writer(TLS_MAGIC)
+    wr.u8(_SPLIT_TAGS[ts.split], 1 if ts.stats else 0)
+    wr.u32(n, c, h, w)
     if ts.stats:
-        buf.write(np.ascontiguousarray(ts.stats.mean, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(ts.stats.std, dtype="<f8").tobytes())
-    buf.write(ts.labels.astype("<i4").tobytes())
-    buf.write(ts.tiles.astype("<f8").tobytes())
-    atomic_write_bytes(path, buf.getvalue())
+        wr.array(ts.stats.mean, "<f8")
+        wr.array(ts.stats.std, "<f8")
+    wr.array(ts.labels, "<i4")
+    wr.array(ts.tiles, "<f8")
+    wr.save(path)
 
 
 def load_tiles(path: str) -> TileSet:
-    with open(path, "rb") as f:
-        expect_magic(f, TLS_MAGIC)
-        split_tag, has_stats = struct.unpack("<BB", read_exact(f, 2, "tile-set header"))
+    with reading(path, TLS_MAGIC) as r:
+        split_tag = r.u8("split tag")
         if split_tag not in _TAG_SPLITS:
             raise FormatError(f"unknown split tag {split_tag}")
-        n, c, h, w = read_u32s(f, 4, "tile extents")
+        has_stats = r.u8("stats flag")
+        if has_stats > 1:
+            raise FormatError(f"stats flag must be 0 or 1, got {has_stats}")
+        n, c, h, w = r.u32s(4, "tile extents")
         stats = None
         if has_stats:
-            mean = np.frombuffer(read_exact(f, 8 * c, "stats mean"), dtype="<f8").copy()
-            std = np.frombuffer(read_exact(f, 8 * c, "stats std"), dtype="<f8").copy()
-            stats = Stats(mean, std)
-        labels = np.frombuffer(read_exact(f, 4 * n, "labels"), dtype="<i4").copy()
-        tiles = np.frombuffer(read_exact(f, 8 * n * c * h * w, "tiles"), dtype="<f8")
-        tiles = tiles.reshape(n, c, h, w).copy()
+            stats = Stats(r.array("<f8", (c,), "stats mean"), r.array("<f8", (c,), "stats std"))
+        labels = r.array("<i4", (n,), "labels")
+        tiles = r.array("<f8", (n, c, h, w), "tiles")
     return TileSet(tiles, labels.astype(np.int64), split=_TAG_SPLITS[split_tag], stats=stats)

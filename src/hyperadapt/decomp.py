@@ -19,13 +19,12 @@ weight bank and reads/writes the ``DCP1`` container documented below.
 
 from __future__ import annotations
 
-import io
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._io import atomic_write_bytes, expect_magic, pack_u32s, read_exact, read_u32s, thread_count
+from ._io import Writer, reading
 from .errors import FormatError, ShapeError
 from .linalg import lstsq_gram, svd
 from .tensor import as_tensor, frobenius_norm, khatri_rao, mode_product, unfold
@@ -253,9 +252,7 @@ def decompose_bank(bank, kind: str, rank: int, opts: CpOptions | None = None):
     """Decompose every filter of a (C_out, C_in, k1, k2) bank independently.
 
     Returns (decomps, errors) with one decomposition and one relative error
-    per output channel. Filters are processed in parallel when
-    HYPERADAPT_THREADS > 1; results depend only on (bank, kind, rank,
-    opts.seed), never on the thread count.
+    per output channel; results depend only on (bank, kind, rank, opts.seed).
     """
     weights = as_tensor(getattr(bank, "weights", bank))
     if weights.ndim != 4:
@@ -263,23 +260,21 @@ def decompose_bank(bank, kind: str, rank: int, opts: CpOptions | None = None):
     if kind not in _KIND_TAGS:
         raise ShapeError(f"unknown decomposition kind {kind!r}")
     opts = opts or CpOptions()
-
     if kind == CP:
-        def one(o):
-            return cp_decompose(weights[o], rank, opts, stream=o)
+        decomps = [cp_decompose(w, rank, opts, stream=o) for o, w in enumerate(weights)]
     else:
-        def one(o):
-            return tucker1_decompose(weights[o], rank)
-
-    c_out = weights.shape[0]
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decomps = list(pool.map(one, range(c_out)))
-    else:
-        decomps = [one(o) for o in range(c_out)]
+        decomps = [tucker1_decompose(w, rank) for w in weights]
     errors = np.array([d.relative_error for d in decomps])
     return decomps, errors
+
+
+_COMPONENTS = {CP: ("spectral", "x", "y"), TUCKER: ("spectral", "core")}
+
+
+def _component_shapes(kind: str, ch: int, k1: int, k2: int, rank: int):
+    if kind == CP:
+        return [(ch, rank), (k1, rank), (k2, rank)]
+    return [(ch, rank), (rank, k1, k2)]
 
 
 def save_decomps(path: str, decomps, errors=None) -> None:
@@ -294,71 +289,42 @@ def save_decomps(path: str, decomps, errors=None) -> None:
     if not decomps:
         raise ShapeError("cannot save an empty decomposition list")
     first = decomps[0]
-    is_cp = isinstance(first, CpDecomp)
-    kind = CP if is_cp else TUCKER
-    ch = first.spectral.shape[0]
-    rank = first.rank
-    if is_cp:
+    kind = CP if isinstance(first, CpDecomp) else TUCKER
+    if kind == CP:
         k1, k2 = first.x.shape[0], first.y.shape[0]
     else:
         k1, k2 = first.core.shape[1], first.core.shape[2]
     if errors is None:
         errors = [d.relative_error for d in decomps]
 
-    buf = io.BytesIO()
-    buf.write(DCP_MAGIC)
-    buf.write(pack_u32s(_KIND_TAGS[kind], len(decomps), ch, k1, k2, rank))
+    w = Writer(DCP_MAGIC)
+    w.u32(_KIND_TAGS[kind], len(decomps), first.spectral.shape[0], k1, k2, first.rank)
     for d in decomps:
-        buf.write(np.ascontiguousarray(d.spectral, dtype="<f8").tobytes())
-        if is_cp:
-            buf.write(np.ascontiguousarray(d.x, dtype="<f8").tobytes())
-            buf.write(np.ascontiguousarray(d.y, dtype="<f8").tobytes())
-        else:
-            buf.write(np.ascontiguousarray(d.core, dtype="<f8").tobytes())
-    buf.write(np.asarray(errors, dtype="<f8").tobytes())
-    atomic_write_bytes(path, buf.getvalue())
+        for name in _COMPONENTS[kind]:
+            w.array(getattr(d, name), "<f8")
+    w.array(errors, "<f8")
+    w.save(path)
 
 
 def load_decomps(path: str):
     """Read a DCP1 file; returns (kind, decomps, errors)."""
-    with open(path, "rb") as f:
-        expect_magic(f, DCP_MAGIC)
-        tag, c_out, ch, k1, k2, rank = read_u32s(f, 6, "decomposition header")
+    with reading(path, DCP_MAGIC) as r:
+        tag, c_out, ch, k1, k2, rank = r.u32s(6, "decomposition header")
         if tag not in _TAG_KINDS:
             raise FormatError(f"unknown decomposition kind tag {tag}")
         kind = _TAG_KINDS[tag]
+        shapes = _component_shapes(kind, ch, k1, k2, rank)
+        sizes = [math.prod(shape) for shape in shapes]
+        blob = r.array("<f8", (c_out, sum(sizes)), "filter components")
+        errors = r.array("<f8", (c_out,), "errors")
 
-        def block(shape, what):
-            n = int(np.prod(shape, dtype=np.int64))
-            raw = read_exact(f, 8 * n, what)
-            return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-        parts = []
-        for o in range(c_out):
-            spectral = block((ch, rank), f"filter {o} spectral")
-            if kind == CP:
-                x = block((k1, rank), f"filter {o} x")
-                y = block((k2, rank), f"filter {o} y")
-                parts.append((spectral, x, y))
-            else:
-                core = block((rank, k1, k2), f"filter {o} core")
-                parts.append((spectral, core))
-        errors = np.frombuffer(read_exact(f, 8 * c_out, "errors"), dtype="<f8").copy()
-
+    stacks = [part.reshape((c_out,) + shape) for part, shape in
+              zip(np.split(blob, np.cumsum(sizes)[:-1], axis=1), shapes)]
+    cls = CpDecomp if kind == CP else Tucker1Decomp
+    zero_part = "spectral" if kind == CP else "core"  # all zeros marks a zero filter
     decomps = []
     for o in range(c_out):
-        if kind == CP:
-            spectral, x, y = parts[o]
-            decomps.append(CpDecomp(
-                spectral=spectral, x=x, y=y, rank=rank,
-                relative_error=float(errors[o]),
-                degenerate=not spectral.any(),
-            ))
-        else:
-            spectral, core = parts[o]
-            decomps.append(Tucker1Decomp(
-                core=core, spectral=spectral, rank=rank,
-                relative_error=float(errors[o]),
-                degenerate=not core.any(),
-            ))
+        parts = {name: stack[o] for name, stack in zip(_COMPONENTS[kind], stacks)}
+        decomps.append(cls(rank=rank, relative_error=float(errors[o]),
+                           degenerate=not parts[zero_part].any(), **parts))
     return kind, decomps, errors

@@ -22,14 +22,12 @@ Spectral initialization policies:
 
 from __future__ import annotations
 
-import io
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_bytes, expect_magic, pack_u32s, read_exact, read_u32s
+from ._io import Writer, reading
 from .decomp import CP, TUCKER, CpDecomp, Tucker1Decomp
 from .errors import FormatError, ShapeError, UnsupportedKindError
 from .linalg import lstsq_gram
@@ -101,6 +99,22 @@ class AdaptedLayer:
     init: str = "interp"
     seed: int = 0
     rank_warning: bool = False
+
+    def __post_init__(self):
+        shape = np.shape(self.spectral)
+        if len(shape) != 3:
+            raise ShapeError(f"spectral must be (C_out, channels, R), got shape {shape}")
+        co, _, rk = shape
+        if self.kind == CP:
+            ok = all(np.ndim(t) == 3 and t.shape[::2] == (co, rk) for t in (self.x, self.y))
+            want = "x (C_out, k1, R) and y (C_out, k2, R)"
+        else:
+            ok = np.ndim(self.core) == 4 and self.core.shape[:2] == (co, rk)
+            want = "core (C_out, R, k1, k2)"
+        if not ok:
+            raise ShapeError(f"{self.kind} layer with spectral {shape} needs {want}")
+        if self.bias is not None and np.shape(self.bias) != (co,):
+            raise ShapeError(f"bias shape {np.shape(self.bias)} does not match {co} filters")
 
     @property
     def out_channels(self) -> int:
@@ -268,51 +282,44 @@ def save_adapted(path: str, layer: AdaptedLayer) -> None:
     spectral blob (per filter, new_channels x R), the bias if present, and
     finally u8 init tag plus u64 seed. All floats little-endian float64.
     """
+    if layer.init not in _INIT_TAGS:
+        raise ShapeError(f"unknown init policy {layer.init!r}; expected one of {INIT_POLICIES}")
     k1, k2 = layer.kernel
-    buf = io.BytesIO()
-    buf.write(ADP_MAGIC)
-    buf.write(pack_u32s(_KIND_TAGS[layer.kind], layer.out_channels,
-                        layer.new_channels, k1, k2, layer.rank))
-    buf.write(struct.pack("<B", 1 if layer.bias is not None else 0))
-    if layer.kind == CP:
-        buf.write(np.ascontiguousarray(layer.x, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(layer.y, dtype="<f8").tobytes())
-    else:
-        buf.write(np.ascontiguousarray(layer.core, dtype="<f8").tobytes())
-    buf.write(np.ascontiguousarray(layer.spectral, dtype="<f8").tobytes())
+    w = Writer(ADP_MAGIC)
+    w.u32(_KIND_TAGS[layer.kind], layer.out_channels, layer.new_channels, k1, k2, layer.rank)
+    w.u8(1 if layer.bias is not None else 0)
+    for block in (layer.x, layer.y) if layer.kind == CP else (layer.core,):
+        w.array(block, "<f8")
+    w.array(layer.spectral, "<f8")
     if layer.bias is not None:
-        buf.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-    buf.write(struct.pack("<B", _INIT_TAGS.get(layer.init, 0)))
-    buf.write(struct.pack("<Q", layer.seed & 0xFFFFFFFFFFFFFFFF))
-    atomic_write_bytes(path, buf.getvalue())
+        w.array(layer.bias, "<f8")
+    w.u8(_INIT_TAGS[layer.init])
+    w.u64(layer.seed & 0xFFFFFFFFFFFFFFFF)
+    w.save(path)
 
 
 def load_adapted(path: str) -> AdaptedLayer:
     """Read an ADP1 file back into an :class:`AdaptedLayer`."""
-    with open(path, "rb") as f:
-        expect_magic(f, ADP_MAGIC)
-        tag, c_out, new_ch, k1, k2, rank = read_u32s(f, 6, "adapted-layer header")
+    with reading(path, ADP_MAGIC) as r:
+        tag, c_out, new_ch, k1, k2, rank = r.u32s(6, "adapted-layer header")
         if tag not in _TAG_KINDS:
             raise FormatError(f"unknown kind tag {tag}")
         kind = _TAG_KINDS[tag]
-        (has_bias,) = struct.unpack("<B", read_exact(f, 1, "bias flag"))
-
-        def block(shape, what):
-            n = int(np.prod(shape, dtype=np.int64))
-            raw = read_exact(f, 8 * n, what)
-            return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
+        has_bias = r.u8("bias flag")
+        if has_bias > 1:
+            raise FormatError(f"bias flag must be 0 or 1, got {has_bias}")
         x = y = core = None
         if kind == CP:
-            x = _frozen(block((c_out, k1, rank), "x taps"))
-            y = _frozen(block((c_out, k2, rank), "y taps"))
+            x = _frozen(r.array("<f8", (c_out, k1, rank), "x taps"))
+            y = _frozen(r.array("<f8", (c_out, k2, rank), "y taps"))
         else:
-            core = _frozen(block((c_out, rank, k1, k2), "cores"))
-        spectral = block((c_out, new_ch, rank), "spectral")
-        bias = _frozen(block((c_out,), "bias")) if has_bias else None
-        (init_tag,) = struct.unpack("<B", read_exact(f, 1, "init tag"))
-        (seed,) = struct.unpack("<Q", read_exact(f, 8, "seed"))
-    init = INIT_POLICIES[init_tag] if init_tag < len(INIT_POLICIES) else "interp"
+            core = _frozen(r.array("<f8", (c_out, rank, k1, k2), "cores"))
+        spectral = r.array("<f8", (c_out, new_ch, rank), "spectral")
+        bias = _frozen(r.array("<f8", (c_out,), "bias")) if has_bias else None
+        init_tag = r.u8("init tag")
+        seed = r.u64("seed")
+    if init_tag >= len(INIT_POLICIES):
+        raise FormatError(f"unknown init tag {init_tag}")
     return AdaptedLayer(kind=kind, spectral=spectral, x=x, y=y, core=core,
-                        bias=bias, init=init, seed=int(seed),
+                        bias=bias, init=INIT_POLICIES[init_tag], seed=seed,
                         rank_warning=(kind == TUCKER and new_ch < rank))

@@ -1,12 +1,10 @@
 """Convolution kernels, separable pipelines, baselines, loss, optimizer, training."""
 
 from .conv import (
-    ConvSpec,
     adaptive_avg_pool,
     adaptive_avg_pool_backward,
     conv2d,
     conv2d_backward,
-    conv2d_forward,
     conv_output_size,
 )
 from .gradcheck import gradient_check
@@ -21,9 +19,7 @@ from .layers import (
     TuckerFirstLayer,
     build_reduce,
     build_scratch,
-    cp_pipeline_forward,
     reduce_hidden_width,
-    tucker_pipeline_forward,
 )
 from .model import (
     Model,
@@ -39,12 +35,12 @@ from .optim import Adam
 from .train import LOG_HEADER, TrainConfig, evaluate, train, write_log_csv
 
 __all__ = [
-    "ConvSpec", "adaptive_avg_pool", "adaptive_avg_pool_backward", "conv2d",
-    "conv2d_backward", "conv2d_forward", "conv_output_size",
+    "adaptive_avg_pool", "adaptive_avg_pool_backward", "conv2d",
+    "conv2d_backward", "conv_output_size",
     "gradient_check",
     "Conv2dLayer", "CpFirstLayer", "Linear", "Param", "ReduceFirstLayer", "ReLU",
     "ScratchFirstLayer", "TuckerFirstLayer", "build_reduce", "build_scratch",
-    "cp_pipeline_forward", "reduce_hidden_width", "tucker_pipeline_forward",
+    "reduce_hidden_width",
     "Model", "build_model", "count_trainable", "cross_entropy",
     "first_layer_from_adapted", "forward_backward", "load_model", "save_model",
     "Adam", "LOG_HEADER", "TrainConfig", "evaluate", "train", "write_log_csv",

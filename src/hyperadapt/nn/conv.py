@@ -9,17 +9,13 @@ everywhere. All float64, all deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 
 __all__ = [
-    "ConvSpec",
     "conv2d",
-    "conv2d_forward",
     "conv2d_backward",
     "conv_output_size",
     "adaptive_avg_pool",
@@ -36,29 +32,6 @@ def _pair(v) -> tuple[int, int]:
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """Static shape description of a conv layer."""
-
-    in_channels: int
-    out_channels: int
-    kernel: tuple[int, int]
-    stride: int | tuple[int, int] = 1
-    padding: int | tuple[int, int] = 0
-    groups: int = 1
-
-    def __post_init__(self):
-        if self.in_channels % self.groups or self.out_channels % self.groups:
-            raise ShapeError(
-                f"channels ({self.in_channels} in, {self.out_channels} out) "
-                f"must be divisible by groups={self.groups}"
-            )
-
-    def weight_shape(self) -> tuple[int, int, int, int]:
-        kh, kw = _pair(self.kernel)
-        return (self.out_channels, self.in_channels // self.groups, kh, kw)
 
 
 def _batched(x):
@@ -103,17 +76,6 @@ def conv2d(x, w, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float64)[:, None, None]
     return out[0] if squeeze else out
-
-
-def conv2d_forward(x, spec: ConvSpec, weights, bias=None) -> np.ndarray:
-    """Spec-checked convolution: weights and input must match the ConvSpec."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != spec.weight_shape():
-        raise ShapeError(f"weights {w.shape} do not match spec {spec.weight_shape()}")
-    x4, _ = _batched(x)
-    if x4.shape[1] != spec.in_channels:
-        raise ShapeError(f"input has {x4.shape[1]} channels, spec expects {spec.in_channels}")
-    return conv2d(x, w, bias, spec.stride, spec.padding, spec.groups)
 
 
 def conv2d_backward(x, w, dout, stride=1, padding=0, groups=1,

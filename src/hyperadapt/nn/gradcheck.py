@@ -11,11 +11,7 @@ import numpy as np
 
 from .model import Model, cross_entropy, forward_backward
 
-__all__ = ["gradient_check", "SIGN_FLIP_BLOCK"]
-
-# Test hook: set to a block name to flip the sign of its analytic gradient,
-# simulating a backward-pass bug. Never set outside tests.
-SIGN_FLIP_BLOCK: str | None = None
+__all__ = ["gradient_check"]
 
 
 def _loss_only(model: Model, batch, labels) -> float:
@@ -28,8 +24,6 @@ def gradient_check(model: Model, batch, labels, eps: float = 1e-5) -> dict[str, 
     batch = np.asarray(batch, dtype=np.float64)
     labels = np.asarray(labels)
     _, _, grads = forward_backward(model, batch, labels)
-    if SIGN_FLIP_BLOCK is not None and SIGN_FLIP_BLOCK in grads:
-        grads[SIGN_FLIP_BLOCK] = -grads[SIGN_FLIP_BLOCK]
 
     worst = {}
     for p in model.trainable_params():

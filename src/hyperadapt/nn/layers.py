@@ -39,8 +39,6 @@ __all__ = [
     "TuckerFirstLayer",
     "ReduceFirstLayer",
     "ScratchFirstLayer",
-    "cp_pipeline_forward",
-    "tucker_pipeline_forward",
     "build_reduce",
     "build_scratch",
     "reduce_hidden_width",
@@ -76,6 +74,10 @@ class Linear:
     """Fully connected layer: y = x @ W.T + b."""
 
     def __init__(self, weight: Param, bias: Param):
+        if weight.value.ndim != 2 or bias.value.shape != weight.value.shape[:1]:
+            raise ShapeError(
+                f"linear weight {weight.value.shape} and bias {bias.value.shape} do not match"
+            )
         self.weight = weight
         self.bias = bias
 
@@ -99,6 +101,13 @@ class Conv2dLayer:
 
     def __init__(self, weight: Param, bias: Param | None = None,
                  stride=1, padding=0, groups=1):
+        if weight.value.ndim != 4:
+            raise ShapeError(f"{weight.name} must be order 4, got shape {weight.value.shape}")
+        if bias is not None and bias.value.shape != weight.value.shape[:1]:
+            raise ShapeError(
+                f"{bias.name} shape {bias.value.shape} does not match "
+                f"{weight.value.shape[0]} output channels"
+            )
         self.weight = weight
         self.bias = bias
         self.stride = stride
@@ -316,6 +325,12 @@ class ReduceFirstLayer:
         rgb_bias = Param(f"{prefix}.rgb_bias", rgb.bias, False) if rgb.bias is not None else None
         self.rgb = Conv2dLayer(Param(f"{prefix}.rgb_weight", rgb.weights, False), rgb_bias,
                                stride=stride, padding=padding)
+        if (self.pw2.in_channels, self.rgb.in_channels) != (self.hidden, self.pw2.out_channels):
+            raise ShapeError(
+                f"reduce stages do not chain: w1 gives {self.hidden} channels, w2 takes "
+                f"{self.pw2.in_channels} and gives {self.pw2.out_channels}, the RGB conv "
+                f"takes {self.rgb.in_channels}"
+            )
 
     def params(self):
         return self.pw1.params() + self.pw2.params() + self.rgb.params()
@@ -369,16 +384,6 @@ class ScratchFirstLayer(Conv2dLayer):
 
     def dense_bank(self) -> np.ndarray:
         return self.weight.value
-
-
-def cp_pipeline_forward(adapted: AdaptedLayer, x, stride=1, padding=0) -> np.ndarray:
-    """Run the CP separable pipeline on one image or a batch."""
-    return CpFirstLayer(adapted, stride=stride, padding=padding).forward(x)
-
-
-def tucker_pipeline_forward(adapted: AdaptedLayer, x, stride=1, padding=0) -> np.ndarray:
-    """Run the Tucker pointwise + grouped pipeline on one image or a batch."""
-    return TuckerFirstLayer(adapted, stride=stride, padding=padding).forward(x)
 
 
 def reduce_hidden_width(in_channels: int, out_channels: int, rank: int) -> int:

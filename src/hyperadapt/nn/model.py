@@ -13,12 +13,9 @@ each with its trainability flag.
 
 from __future__ import annotations
 
-import io
-import struct
-
 import numpy as np
 
-from .._io import atomic_write_bytes, expect_magic, pack_u32s, read_exact, read_u32s
+from .._io import Writer, reading
 from ..decomp import CP, TUCKER
 from ..errors import DataError, FormatError, ShapeError
 from ..filteradapt import AdaptedLayer, FilterBank
@@ -60,6 +57,15 @@ class Model:
         self.relu2 = ReLU()
         self.pool = _pair(pool)
         self.head = head
+        if mid.in_channels != first.out_channels:
+            raise ShapeError(
+                f"mid conv expects {mid.in_channels} channels, first layer gives {first.out_channels}"
+            )
+        features = mid.out_channels * self.pool[0] * self.pool[1]
+        if head.weight.value.shape[1] != features:
+            raise ShapeError(
+                f"head expects {head.weight.value.shape[1]} features, pooled mid conv gives {features}"
+            )
 
     def params(self):
         return self.first.params() + self.mid.params() + self.head.params()
@@ -184,46 +190,28 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
     ph, pw = _pair(getattr(model.first, "padding", 0))
     meta.setdefault("stride", str(sh))
     meta.setdefault("padding", str(ph))
-    text = "".join(f"{k}={v}\n" for k, v in sorted(meta.items())).encode("utf-8")
-
-    buf = io.BytesIO()
-    buf.write(MDL_MAGIC)
-    buf.write(pack_u32s(len(text)))
-    buf.write(text)
+    w = Writer(MDL_MAGIC)
+    w.text("".join(f"{k}={v}\n" for k, v in sorted(meta.items())))
     params = model.params()
-    buf.write(pack_u32s(len(params)))
+    w.u32(len(params))
     for p in params:
-        name = p.name.encode("ascii")
-        buf.write(struct.pack("<H", len(name)))
-        buf.write(name)
-        buf.write(struct.pack("<B", 1 if p.trainable else 0))
-        buf.write(pack_u32s(p.value.ndim, *p.value.shape))
-        buf.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-    atomic_write_bytes(path, buf.getvalue())
-
-
-def _read_blocks(f):
-    (count,) = read_u32s(f, 1, "block count")
-    blocks = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", read_exact(f, 2, "block name length"))
-        name = read_exact(f, nlen, "block name").decode("ascii")
-        (trainable,) = struct.unpack("<B", read_exact(f, 1, "trainable flag"))
-        (ndim,) = read_u32s(f, 1, "block order")
-        shape = read_u32s(f, ndim, "block extents")
-        n = int(np.prod(shape, dtype=np.int64))
-        data = np.frombuffer(read_exact(f, 8 * n, f"block {name}"), dtype="<f8")
-        blocks[name] = (bool(trainable), data.reshape(shape).copy())
-    return blocks
+        w.text(p.name, prefix=2, encoding="ascii")
+        w.u8(1 if p.trainable else 0)
+        w.u32(p.value.ndim, *p.value.shape)
+        w.array(p.value, "<f8")
+    w.save(path)
 
 
 def load_model(path: str):
     """Read an MDL1 checkpoint; returns (model, meta)."""
-    with open(path, "rb") as f:
-        expect_magic(f, MDL_MAGIC)
-        (mlen,) = read_u32s(f, 1, "metadata length")
-        text = read_exact(f, mlen, "metadata").decode("utf-8")
-        blocks = _read_blocks(f)
+    blocks = {}
+    with reading(path, MDL_MAGIC) as r:
+        text = r.text("metadata")
+        for _ in range(r.u32("block count")):
+            name = r.text("block name", prefix=2, encoding="ascii")
+            trainable = r.u8("trainable flag")
+            shape = r.u32s(r.u32("block order"), "block extents")
+            blocks[name] = (bool(trainable), r.array("<f8", shape, f"block {name}"))
 
     meta = {}
     for line in text.splitlines():
@@ -231,9 +219,20 @@ def load_model(path: str):
             k, _, v = line.partition("=")
             meta[k] = v
     method = meta.get("method", "")
-    stride = int(meta.get("stride", "1"))
-    padding = int(meta.get("padding", "0"))
-    pool = (int(meta.get("pool_h", "1")), int(meta.get("pool_w", "1")))
+
+    def meta_int(key, default, low):
+        raw = meta.get(key, default)
+        try:
+            value = int(raw)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise FormatError(f"checkpoint metadata {key}={raw!r} is not an integer >= {low}")
+        return value
+
+    stride = meta_int("stride", "1", 1)
+    padding = meta_int("padding", "0", 0)
+    pool = (meta_int("pool_h", "1", 1), meta_int("pool_w", "1", 1))
 
     def take(name):
         if name not in blocks:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._io import atomic_write_text
-from ..errors import NumericalError
+from ..errors import DataError, NumericalError
 from .model import Model, cross_entropy, forward_backward
 from .optim import Adam
 
@@ -44,6 +44,8 @@ class TrainConfig:
 def evaluate(model: Model, tiles: np.ndarray, labels: np.ndarray, batch_size: int = 256):
     """Mean loss and accuracy over a tile set, without touching gradients."""
     n = tiles.shape[0]
+    if n == 0:
+        raise DataError("cannot evaluate on an empty tile set")
     total_loss = 0.0
     correct = 0.0
     for start in range(0, n, batch_size):
@@ -63,9 +65,11 @@ def train(model: Model, train_tiles, train_labels, test_tiles, test_labels,
     train_labels = np.asarray(train_labels)
     test_tiles = np.asarray(test_tiles, dtype=np.float64)
     test_labels = np.asarray(test_labels)
+    n = train_tiles.shape[0]
+    if n == 0 or test_tiles.shape[0] == 0:
+        raise DataError(f"need non-empty tile sets, got {n} train and {test_tiles.shape[0]} test")
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.trainable_params())
-    n = train_tiles.shape[0]
     rows = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr0 * cfg.gamma ** epoch

@@ -14,12 +14,10 @@ row-major order.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
-from ._io import atomic_write_bytes, expect_magic, pack_u32s, read_exact, read_u32s
-from .errors import FormatError, ShapeError
+from ._io import Writer, reading
+from .errors import ShapeError
 
 __all__ = [
     "as_tensor",
@@ -117,25 +115,20 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def save_tensor(t: np.ndarray, path: str) -> None:
     """Write ``t`` as a TNS1 file (atomically)."""
     t = as_tensor(t)
-    buf = io.BytesIO()
-    buf.write(TNS_MAGIC)
-    buf.write(pack_u32s(t.ndim, *t.shape))
-    buf.write(t.astype("<f8").tobytes())
-    atomic_write_bytes(path, buf.getvalue())
+    w = Writer(TNS_MAGIC)
+    w.u32(t.ndim, *t.shape)
+    w.array(t, "<f8")
+    w.save(path)
 
 
 def load_tensor(path: str) -> np.ndarray:
     """Read a TNS1 file, failing loudly on truncation or bad extents."""
-    with open(path, "rb") as f:
-        expect_magic(f, TNS_MAGIC)
-        (order,) = read_u32s(f, 1, "tensor order")
+    with reading(path, TNS_MAGIC) as r:
+        order = r.u32("tensor order")
         if order < 1:
             raise ShapeError("tensor order must be >= 1")
-        shape = read_u32s(f, order, "tensor extents")
+        shape = r.u32s(order, "tensor extents")
         if any(e < 1 for e in shape):
             raise ShapeError(f"tensor extents must all be >= 1, got {shape}")
-        count = int(np.prod(shape, dtype=np.int64))
-        data = np.frombuffer(read_exact(f, 8 * count, "tensor data"), dtype="<f8")
-        if f.read(1):
-            raise FormatError("trailing bytes after tensor data")
-    return as_tensor(data.reshape(shape))
+        data = r.array("<f8", shape, "tensor data")
+    return as_tensor(data)

@@ -31,16 +31,16 @@ from hyperadapt.filteradapt import (
 )
 from hyperadapt.nn import (
     Adam,
+    CpFirstLayer,
     TrainConfig,
+    TuckerFirstLayer,
     build_model,
     build_scratch,
     conv2d,
     count_trainable,
-    cp_pipeline_forward,
     first_layer_from_adapted,
     forward_backward,
     train,
-    tucker_pipeline_forward,
 )
 from hyperadapt.nn.gradcheck import gradient_check
 from hyperadapt.tensor import frobenius_norm, unfold
@@ -106,9 +106,9 @@ def test_criterion_3_pipeline_equivalence():
             k = int(rng.choice([3, 5, 7]))
             layer = _random_adapted(rng, kind, c_out, channels, rank, k)
             x = rng.uniform(-1.0, 1.0, (channels, 9, 9))
-            fwd = cp_pipeline_forward if kind == "cp" else tucker_pipeline_forward
+            first = CpFirstLayer(layer) if kind == "cp" else TuckerFirstLayer(layer)
             dense = conv2d(x, decompress(layer), layer.bias)
-            assert np.abs(fwd(layer, x) - dense).max() <= 1e-9
+            assert np.abs(first.forward(x) - dense).max() <= 1e-9
 
 
 def test_criterion_4_identity_adaptation():

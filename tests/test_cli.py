@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperadapt.cli import main, parse_config
-from hyperadapt.data import synth_filter_bank
+from hyperadapt.data import TileSet, save_tiles, synth_filter_bank, synth_spectral_task
 from hyperadapt.decomp import load_decomps
 from hyperadapt.errors import UsageError
 from hyperadapt.filteradapt import decompress, load_adapted
@@ -18,6 +18,20 @@ def bank_files(tmp_path):
     save_tensor(bank.weights, str(wpath))
     save_tensor(bank.bias, str(bpath))
     return bank, str(wpath), str(bpath)
+
+
+def flip_gradient_sign(monkeypatch, block):
+    """Make gradient_check see a backward pass whose ``block`` gradient has the wrong sign."""
+    from hyperadapt.nn import gradcheck as gc
+
+    real = gc.forward_backward
+
+    def flipped(*args):
+        loss, accuracy, grads = real(*args)
+        grads[block] = -grads[block]
+        return loss, accuracy, grads
+
+    monkeypatch.setattr(gc, "forward_backward", flipped)
 
 
 def write_config(tmp_path, **overrides):
@@ -131,6 +145,15 @@ class TestTrainCmd:
         main(["train", "--config", cfg, "--seed", "5"])
         assert (tmp_path / "log.csv").read_bytes() == first
 
+    def test_empty_test_tiles_is_io_error(self, tmp_path):
+        train_ts, test_ts = synth_spectral_task(6, 2, 8, seed=0, tile=8)
+        train_path, test_path = tmp_path / "train.tls", tmp_path / "test.tls"
+        save_tiles(train_ts, str(train_path))
+        save_tiles(TileSet(test_ts.tiles[:0], test_ts.labels[:0], split="test"), str(test_path))
+        cfg = write_config(tmp_path, train_tiles=train_path, test_tiles=test_path)
+        assert main(["train", "--config", cfg]) == 1
+        assert not (tmp_path / "model.mdl1").exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("methd = cp\n")
@@ -178,17 +201,6 @@ class TestRankSweepCmd:
         rc = main(["rank-sweep", "--config", cfg, "--ranks", "1,1",
                    "--seeds", "1", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
-
-    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, epochs=1)
-        out1 = tmp_path / "s1.csv"
-        out2 = tmp_path / "s2.csv"
-        main(["rank-sweep", "--config", cfg, "--ranks", "1,2", "--seeds", "2",
-              "--out", str(out1)])
-        monkeypatch.setenv("HYPERADAPT_THREADS", "4")
-        main(["rank-sweep", "--config", cfg, "--ranks", "1,2", "--seeds", "2",
-              "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_reduce_method_rejected(self, tmp_path):
         cfg = write_config(tmp_path, method="reduce")
@@ -254,9 +266,7 @@ class TestGradcheckCmd:
         assert "passed" in capsys.readouterr().out
 
     def test_sign_flip_hook_fails(self, monkeypatch, capsys):
-        from hyperadapt.nn import gradcheck as gc
-
-        monkeypatch.setattr(gc, "SIGN_FLIP_BLOCK", "head.bias")
+        flip_gradient_sign(monkeypatch, "head.bias")
         assert main(["gradcheck"]) == 3
         out = capsys.readouterr().out
         assert "FAIL" in out

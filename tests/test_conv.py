@@ -3,12 +3,10 @@ import pytest
 
 from hyperadapt.errors import ShapeError
 from hyperadapt.nn.conv import (
-    ConvSpec,
     adaptive_avg_pool,
     adaptive_avg_pool_backward,
     conv2d,
     conv2d_backward,
-    conv2d_forward,
     conv_output_size,
 )
 
@@ -77,18 +75,6 @@ class TestConvForward:
     def test_kernel_larger_than_input(self):
         with pytest.raises(ShapeError):
             conv2d(np.ones((1, 2, 2)), np.ones((1, 1, 3, 3)))
-
-    def test_spec_wrapper_validates(self):
-        spec = ConvSpec(3, 4, (3, 3))
-        x = np.ones((3, 5, 5))
-        with pytest.raises(ShapeError):
-            conv2d_forward(x, spec, np.ones((4, 3, 2, 2)))
-        out = conv2d_forward(x, spec, np.zeros((4, 3, 3, 3)))
-        assert out.shape == (4, 3, 3)
-
-    def test_spec_divisibility(self):
-        with pytest.raises(ShapeError):
-            ConvSpec(3, 4, (3, 3), groups=2)
 
 
 class TestConvBackward:

@@ -206,17 +206,6 @@ class TestDecomposeBank:
         means = [decompose_bank(bank, "tucker", r)[1].mean() for r in (1, 2, 3)]
         assert means[0] >= means[1] >= means[2]
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        bank = FilterBank(rng.standard_normal((6, 3, 5, 5)))
-        serial, _ = decompose_bank(bank, "cp", 2, CpOptions(seed=3))
-        monkeypatch.setenv("HYPERADAPT_THREADS", "4")
-        threaded, _ = decompose_bank(bank, "cp", 2, CpOptions(seed=3))
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.spectral, b.spectral)
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
-
     def test_accepts_plain_array(self):
         rng = np.random.default_rng(18)
         decomps, errors = decompose_bank(rng.standard_normal((2, 3, 3, 3)), "tucker", 2)

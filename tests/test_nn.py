@@ -7,14 +7,15 @@ from hyperadapt.errors import DataError, NumericalError, ShapeError
 from hyperadapt.filteradapt import AdaptedLayer, adapt, decompress
 from hyperadapt.nn import (
     Adam,
+    CpFirstLayer,
     Param,
     TrainConfig,
+    TuckerFirstLayer,
     build_model,
     build_reduce,
     build_scratch,
     conv2d,
     count_trainable,
-    cp_pipeline_forward,
     cross_entropy,
     evaluate,
     first_layer_from_adapted,
@@ -23,7 +24,6 @@ from hyperadapt.nn import (
     reduce_hidden_width,
     save_model,
     train,
-    tucker_pipeline_forward,
     write_log_csv,
 )
 from hyperadapt.nn.gradcheck import gradient_check
@@ -46,22 +46,22 @@ class TestPipelines:
         layer = random_adapted("cp", 3, 5, 1, 5, seed=0)
         x = np.random.default_rng(1).standard_normal((5, 10, 10))
         dense = conv2d(x, decompress(layer), layer.bias)
-        assert np.abs(cp_pipeline_forward(layer, x) - dense).max() <= 1e-10
+        assert np.abs(CpFirstLayer(layer).forward(x) - dense).max() <= 1e-10
 
     @pytest.mark.parametrize("kind", ["cp", "tucker"])
     def test_random_layer_equals_dense(self, kind):
         layer = random_adapted(kind, 4, 8, 2, 5, seed=2)
         x = np.random.default_rng(3).standard_normal((8, 16, 16))
-        fwd = cp_pipeline_forward if kind == "cp" else tucker_pipeline_forward
+        first = CpFirstLayer(layer) if kind == "cp" else TuckerFirstLayer(layer)
         dense = conv2d(x, decompress(layer), layer.bias)
-        assert np.abs(fwd(layer, x) - dense).max() <= 1e-9
+        assert np.abs(first.forward(x) - dense).max() <= 1e-9
 
     @pytest.mark.parametrize("kind", ["cp", "tucker"])
     def test_strided_padded_pipeline_equals_dense(self, kind):
         layer = random_adapted(kind, 2, 6, 2, 3, seed=4)
         x = np.random.default_rng(5).standard_normal((6, 11, 9))
-        fwd = cp_pipeline_forward if kind == "cp" else tucker_pipeline_forward
-        got = fwd(layer, x, stride=2, padding=1)
+        cls = CpFirstLayer if kind == "cp" else TuckerFirstLayer
+        got = cls(layer, stride=2, padding=1).forward(x)
         dense = conv2d(x, decompress(layer), layer.bias, stride=2, padding=1)
         assert np.abs(got - dense).max() <= 1e-9
 
@@ -69,7 +69,7 @@ class TestPipelines:
         layer = random_adapted("cp", 3, 4, 2, 3, seed=6)
         layer.spectral[:] = 0.0
         x = np.random.default_rng(7).standard_normal((4, 8, 8))
-        out = cp_pipeline_forward(layer, x)
+        out = CpFirstLayer(layer).forward(x)
         assert np.allclose(out, layer.bias[:, None, None])
 
     def test_tucker_identity_adaptation_matches_rgb_dense(self):
@@ -79,18 +79,18 @@ class TestPipelines:
         x = np.random.default_rng(9).standard_normal((3, 12, 12))
         recon = np.stack([d.reconstruct() for d in decomps])
         dense = conv2d(x, recon, bank.bias)
-        assert np.abs(tucker_pipeline_forward(layer, x) - dense).max() <= 1e-10
+        assert np.abs(TuckerFirstLayer(layer).forward(x) - dense).max() <= 1e-10
 
     def test_tucker_rank_one_is_depthwise(self):
         layer = random_adapted("tucker", 3, 5, 1, 3, seed=10)
         x = np.random.default_rng(11).standard_normal((5, 8, 8))
-        out = tucker_pipeline_forward(layer, x)
+        out = TuckerFirstLayer(layer).forward(x)
         assert out.shape == (3, 6, 6)
 
     def test_channel_mismatch(self):
         layer = random_adapted("cp", 2, 4, 1, 3, seed=12)
         with pytest.raises(ShapeError):
-            cp_pipeline_forward(layer, np.ones((5, 8, 8)))
+            CpFirstLayer(layer).forward(np.ones((5, 8, 8)))
 
 
 class TestReduce:
@@ -228,7 +228,14 @@ class TestGradients:
         from hyperadapt.nn import gradcheck as gc
 
         model, batch, labels = micro_model("cp")
-        monkeypatch.setattr(gc, "SIGN_FLIP_BLOCK", "first.spectral")
+        real = gc.forward_backward
+
+        def flipped(*args):
+            loss, accuracy, grads = real(*args)
+            grads["first.spectral"] = -grads["first.spectral"]
+            return loss, accuracy, grads
+
+        monkeypatch.setattr(gc, "forward_backward", flipped)
         worst = gc.gradient_check(model, batch, labels)
         assert worst["first.spectral"] > 1e-2
 
@@ -248,6 +255,19 @@ class TestTraining:
         for p in model.params():
             if not p.trainable:
                 assert np.array_equal(p.value, frozen_before[p.name]), p.name
+
+    def test_empty_tile_sets_are_data_errors(self):
+        model, _, _ = micro_model("cp")
+        train_ts, test_ts = self._task()
+        cfg = TrainConfig(batch_size=16, epochs=1)
+        with pytest.raises(DataError):
+            evaluate(model, test_ts.tiles[:0], test_ts.labels[:0])
+        with pytest.raises(DataError):
+            train(model, train_ts.tiles[:0], train_ts.labels[:0],
+                  test_ts.tiles, test_ts.labels, cfg)
+        with pytest.raises(DataError):
+            train(model, train_ts.tiles, train_ts.labels,
+                  test_ts.tiles[:0], test_ts.labels[:0], cfg)
 
     def test_deterministic_given_seed(self):
         rows = []
