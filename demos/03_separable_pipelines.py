@@ -1,10 +1,11 @@
 """Run adapted layers as separable convolutions and compare with dense.
 
-A CP layer is a pointwise convolution followed by two depthwise ones; a
-Tucker layer is a pointwise convolution followed by one grouped 2-D
-convolution initialized with the cores. Both agree with the dense
-convolution of the decompressed bank to float64 round-off, while exposing
-far fewer trainable parameters than a from-scratch dense layer.
+A CP layer is a pointwise convolution, then a vertical (k1 x 1) and a
+horizontal (1 x k2) depthwise convolution, then a sum over each filter's
+rank terms; a Tucker layer is a pointwise convolution followed by
+one grouped 2-D convolution initialized with the cores. Both agree with the
+dense convolution of the decompressed bank to float64 round-off, while
+exposing far fewer trainable parameters than a from-scratch dense layer.
 """
 
 import numpy as np

@@ -194,7 +194,14 @@ def _run_training(cfg: RunConfig):
     bank = _load_bank(cfg)
     first = _build_first_layer(cfg, bank, train_ts.channels)
     # normalize() has already rejected an empty training set; train() rejects an empty test set.
-    classes = int(np.concatenate((train_ts.labels, test_ts.labels)).max()) + 1
+    labels = np.concatenate((train_ts.labels, test_ts.labels))
+    classes = int(labels.max()) + 1
+    # The head has one row per class, so a hostile label must not size it.
+    if labels.min() < 0 or classes > labels.size:
+        raise DataError(
+            f"labels must lie in [0, {labels.size}) for {labels.size} tiles, "
+            f"got range [{labels.min()}, {labels.max()}]"
+        )
     model = build_model(first, classes, pool=(cfg.pool, cfg.pool), seed=cfg.seed)
     tc = TrainConfig(lr0=cfg.lr0, gamma=cfg.gamma, batch_size=cfg.batch,
                      epochs=cfg.epochs, seed=cfg.seed)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import Writer, reading
-from .decomp import CP, TUCKER, CpDecomp, Tucker1Decomp
+from .decomp import _KIND_TAGS, _TAG_KINDS, CP, TUCKER, CpDecomp, Tucker1Decomp
 from .errors import FormatError, ShapeError, UnsupportedKindError
 from .linalg import lstsq_gram
 from .tensor import as_tensor
@@ -48,8 +48,6 @@ __all__ = [
 
 ADP_MAGIC = b"ADP1"
 INIT_POLICIES = ("interp", "replicate", "random")
-_KIND_TAGS = {CP: 0, TUCKER: 1}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
 
 @dataclass
@@ -104,6 +102,10 @@ class AdaptedLayer:
         shape = np.shape(self.spectral)
         if len(shape) != 3:
             raise ShapeError(f"spectral must be (C_out, channels, R), got shape {shape}")
+        if self.kind not in _KIND_TAGS:
+            raise UnsupportedKindError(
+                f"unknown layer kind {self.kind!r}; expected one of {tuple(_KIND_TAGS)}"
+            )
         co, _, rk = shape
         if self.kind == CP:
             ok = all(np.ndim(t) == 3 and t.shape[::2] == (co, rk) for t in (self.x, self.y))

@@ -6,15 +6,16 @@ biases); Scratch trains its full dense kernel. Spatial taps, Tucker cores,
 the original RGB weights and every bias inherited from the source bank are
 frozen: backward passes propagate through them but never write to them.
 
-The separable pipelines realize an adapted layer without densifying it:
+The separable pipelines realize an adapted layer without densifying it.
+Both start with the same trainable stage, a pointwise conv (channels ->
+C_out*R) from the spectral columns, and end by adding the frozen bias. Only
+the frozen spatial stage between them differs:
 
-* CP: pointwise conv (channels -> C_out*R) from the spectral columns, a
-  depthwise (k1 x 1) conv from the x taps, a depthwise (1 x k2) conv from
-  the y taps, then each consecutive group of R channels is summed into one
-  output channel and the frozen bias added.
-* Tucker: pointwise conv (channels -> C_out*R) from the spectral factor,
-  then one grouped (k1 x k2) conv with groups = C_out whose group o maps its
-  R channels to one output through the core of filter o.
+* CP: a vertical depthwise (k1 x 1) conv from the x taps, then a horizontal
+  depthwise (1 x k2) conv from the y taps, then a sum over each filter's R
+  channels.
+* Tucker: one grouped (k1 x k2) conv with groups = C_out whose group o maps
+  its R channels to one output through the core of filter o.
 
 Both match the dense convolution of the decompressed bank to float64
 round-off. The pointwise stages carry no bias so the pipelines stay exactly
@@ -27,7 +28,7 @@ import numpy as np
 
 from ..decomp import CP, TUCKER
 from ..errors import ShapeError, UnsupportedKindError
-from ..filteradapt import AdaptedLayer, FilterBank
+from ..filteradapt import AdaptedLayer, FilterBank, decompress
 from .conv import _batched, _pair, conv2d, conv2d_backward
 
 __all__ = [
@@ -144,168 +145,139 @@ class Conv2dLayer:
         return dx
 
 
-def _spectral_to_pointwise(spectral: np.ndarray) -> np.ndarray:
-    # (C_out, channels, R) -> (C_out*R, channels, 1, 1), output o*R+r from column r of filter o
-    co, cn, rk = spectral.shape
-    return np.ascontiguousarray(spectral.transpose(0, 2, 1)).reshape(co * rk, cn, 1, 1)
+class _SpectralFirstLayer:
+    """What the CP and Tucker pipelines share: everything but the spatial stage.
+
+    The trainable spectral block (C_out, channels, R) runs as one bias-free
+    pointwise conv to C_out*R channels, channel o*R+r from column r of
+    filter o. Each subclass follows it with its frozen per-filter spatial
+    stage inside its own ``forward``/``backward``, which begin with
+    :meth:`_spectral_forward` / end with :meth:`_spectral_backward`.
+    ``_spatial_blocks`` names the subclass's frozen AdaptedLayer arrays, in
+    parameter order.
+    """
+
+    kind: str
+    _spatial_blocks: tuple[str, ...]
+
+    def __init__(self, adapted: AdaptedLayer, stride=1, padding=0):
+        if adapted.kind != self.kind:
+            raise UnsupportedKindError(f"{type(self).__name__} needs a {self.kind} adapted layer")
+        # Copy: training updates this block in place and must not write back
+        # into the AdaptedLayer it was built from.
+        self.spectral = Param("first.spectral", adapted.spectral.copy(), True)
+        for name in self._spatial_blocks:
+            setattr(self, name, Param(f"first.{name}", getattr(adapted, name), False))
+        self.bias = Param("first.bias", adapted.bias, False) if adapted.bias is not None else None
+        self.stride = stride
+        self.padding = padding
+
+    def params(self):
+        out = [self.spectral] + [getattr(self, name) for name in self._spatial_blocks]
+        return out + ([self.bias] if self.bias is not None else [])
+
+    @property
+    def out_channels(self):
+        return self.spectral.value.shape[0]
+
+    @property
+    def in_channels(self):
+        return self.spectral.value.shape[1]
+
+    @property
+    def rank(self):
+        return self.spectral.value.shape[2]
+
+    def _pointwise_weight(self):
+        co, cn, rk = self.spectral.value.shape
+        return self.spectral.value.transpose(0, 2, 1).reshape(co * rk, cn, 1, 1)
+
+    def _spectral_forward(self, x):
+        x4, self._squeeze = _batched(x)
+        if x4.shape[1] != self.in_channels:
+            raise ShapeError(f"input has {x4.shape[1]} channels, layer expects {self.in_channels}")
+        self._x4 = x4
+        self._h1 = conv2d(x4, self._pointwise_weight())
+        return self._h1
+
+    def _output(self, out):
+        if self.bias is not None:
+            out = out + self.bias.value[:, None, None]
+        return out[0] if self._squeeze else out
+
+    def _spectral_backward(self, dh1):
+        co, cn, rk = self.spectral.value.shape
+        dx, dw, _ = conv2d_backward(self._x4, self._pointwise_weight(), dh1,
+                                    need_dw=self.spectral.trainable)
+        if self.spectral.trainable:
+            self.spectral.grad = np.ascontiguousarray(dw.reshape(co, rk, cn).transpose(0, 2, 1))
+        return dx
+
+    def dense_bank(self) -> np.ndarray:
+        return decompress(self.to_adapted())
+
+    def to_adapted(self) -> AdaptedLayer:
+        spatial = {name: getattr(self, name).value for name in self._spatial_blocks}
+        return AdaptedLayer(kind=self.kind, spectral=self.spectral.value.copy(),
+                            bias=self.bias.value if self.bias is not None else None, **spatial)
 
 
-def _pointwise_grad_to_spectral(dw: np.ndarray, co: int, cn: int, rk: int) -> np.ndarray:
-    return np.ascontiguousarray(dw.reshape(co, rk, cn).transpose(0, 2, 1))
-
-
-class CpFirstLayer:
+class CpFirstLayer(_SpectralFirstLayer):
     """Separable realization of a CP adapted layer. Only the spectral block trains."""
 
     kind = CP
+    _spatial_blocks = ("x", "y")
 
-    def __init__(self, adapted: AdaptedLayer, stride=1, padding=0, prefix="first"):
-        if adapted.kind != CP:
-            raise UnsupportedKindError("CpFirstLayer needs a CP adapted layer")
-        # Copy: training updates this block in place and must not write back
-        # into the AdaptedLayer it was built from.
-        self.spectral = Param(f"{prefix}.spectral", adapted.spectral.copy(), True)
-        self.x = Param(f"{prefix}.x", adapted.x, False)
-        self.y = Param(f"{prefix}.y", adapted.y, False)
-        self.bias = Param(f"{prefix}.bias", adapted.bias, False) if adapted.bias is not None else None
-        self.stride = stride
-        self.padding = padding
-
-    def params(self):
-        out = [self.spectral, self.x, self.y]
-        if self.bias is not None:
-            out.append(self.bias)
-        return out
-
-    @property
-    def out_channels(self):
-        return self.spectral.value.shape[0]
-
-    @property
-    def in_channels(self):
-        return self.spectral.value.shape[1]
-
-    @property
-    def rank(self):
-        return self.spectral.value.shape[2]
-
-    def _weights(self):
-        co, _, rk = self.spectral.value.shape
-        k1 = self.x.value.shape[1]
+    def _taps(self):
+        # One depthwise filter per pointwise channel o*R+r: x taps (k1 x 1),
+        # then y taps (1 x k2).
+        co, k1, rk = self.x.value.shape
         k2 = self.y.value.shape[1]
-        w1 = _spectral_to_pointwise(self.spectral.value)
-        wv = np.ascontiguousarray(self.x.value.transpose(0, 2, 1)).reshape(co * rk, 1, k1, 1)
-        wh = np.ascontiguousarray(self.y.value.transpose(0, 2, 1)).reshape(co * rk, 1, 1, k2)
-        return w1, wv, wh
+        wv = self.x.value.transpose(0, 2, 1).reshape(co * rk, 1, k1, 1)
+        wh = self.y.value.transpose(0, 2, 1).reshape(co * rk, 1, 1, k2)
+        return wv, wh
 
     def forward(self, x):
-        x4, squeeze = _batched(x)
-        if x4.shape[1] != self.in_channels:
-            raise ShapeError(f"input has {x4.shape[1]} channels, layer expects {self.in_channels}")
-        co, _, rk = self.spectral.value.shape
+        h1 = self._spectral_forward(x)
         sh, sw = _pair(self.stride)
         ph, pw = _pair(self.padding)
-        w1, wv, wh = self._weights()
-        self._x4 = x4
-        self._h1 = conv2d(x4, w1)
-        self._h2 = conv2d(self._h1, wv, stride=(sh, 1), padding=(ph, 0), groups=co * rk)
-        h3 = conv2d(self._h2, wh, stride=(1, sw), padding=(0, pw), groups=co * rk)
+        wv, wh = self._taps()
+        self._h2 = conv2d(h1, wv, stride=(sh, 1), padding=(ph, 0), groups=wv.shape[0])
+        h3 = conv2d(self._h2, wh, stride=(1, sw), padding=(0, pw), groups=wh.shape[0])
         n, _, ho, wo = h3.shape
-        out = h3.reshape(n, co, rk, ho, wo).sum(axis=2)
-        if self.bias is not None:
-            out = out + self.bias.value[:, None, None]
-        return out[0] if squeeze else out
+        return self._output(h3.reshape(n, self.out_channels, self.rank, ho, wo).sum(axis=2))
 
     def backward(self, dout):
         d4, _ = _batched(dout)
-        co, cn, rk = self.spectral.value.shape
         sh, sw = _pair(self.stride)
         ph, pw = _pair(self.padding)
-        w1, wv, wh = self._weights()
-        n, _, ho, wo = d4.shape
-        dh3 = np.broadcast_to(d4[:, :, None], (n, co, rk, ho, wo)).reshape(n, co * rk, ho, wo)
+        wv, wh = self._taps()
+        # The sum over each filter's R terms hands every term the same gradient.
+        dh3 = np.repeat(d4, self.rank, axis=1)
         dh2, _, _ = conv2d_backward(self._h2, wh, dh3, stride=(1, sw), padding=(0, pw),
-                                    groups=co * rk, need_dw=False)
+                                    groups=wh.shape[0], need_dw=False)
         dh1, _, _ = conv2d_backward(self._h1, wv, dh2, stride=(sh, 1), padding=(ph, 0),
-                                    groups=co * rk, need_dw=False)
-        dx, dw1, _ = conv2d_backward(self._x4, w1, dh1, need_dw=self.spectral.trainable)
-        if self.spectral.trainable:
-            self.spectral.grad = _pointwise_grad_to_spectral(dw1, co, cn, rk)
-        return dx
-
-    def dense_bank(self) -> np.ndarray:
-        return np.einsum("ocr,oir,ojr->ocij", self.spectral.value, self.x.value, self.y.value)
-
-    def to_adapted(self) -> AdaptedLayer:
-        return AdaptedLayer(kind=CP, spectral=self.spectral.value.copy(),
-                            x=self.x.value, y=self.y.value,
-                            bias=self.bias.value if self.bias is not None else None)
+                                    groups=wv.shape[0], need_dw=False)
+        return self._spectral_backward(dh1)
 
 
-class TuckerFirstLayer:
+class TuckerFirstLayer(_SpectralFirstLayer):
     """Pointwise + grouped-conv realization of a Tucker adapted layer."""
 
     kind = TUCKER
-
-    def __init__(self, adapted: AdaptedLayer, stride=1, padding=0, prefix="first"):
-        if adapted.kind != TUCKER:
-            raise UnsupportedKindError("TuckerFirstLayer needs a Tucker adapted layer")
-        self.spectral = Param(f"{prefix}.spectral", adapted.spectral.copy(), True)
-        self.core = Param(f"{prefix}.core", adapted.core, False)
-        self.bias = Param(f"{prefix}.bias", adapted.bias, False) if adapted.bias is not None else None
-        self.stride = stride
-        self.padding = padding
-
-    def params(self):
-        out = [self.spectral, self.core]
-        if self.bias is not None:
-            out.append(self.bias)
-        return out
-
-    @property
-    def out_channels(self):
-        return self.spectral.value.shape[0]
-
-    @property
-    def in_channels(self):
-        return self.spectral.value.shape[1]
-
-    @property
-    def rank(self):
-        return self.spectral.value.shape[2]
+    _spatial_blocks = ("core",)
 
     def forward(self, x):
-        x4, squeeze = _batched(x)
-        if x4.shape[1] != self.in_channels:
-            raise ShapeError(f"input has {x4.shape[1]} channels, layer expects {self.in_channels}")
-        co = self.out_channels
-        w1 = _spectral_to_pointwise(self.spectral.value)
-        self._x4 = x4
-        self._h1 = conv2d(x4, w1)
-        out = conv2d(self._h1, self.core.value, stride=self.stride,
-                     padding=self.padding, groups=co)
-        if self.bias is not None:
-            out = out + self.bias.value[:, None, None]
-        return out[0] if squeeze else out
+        h1 = self._spectral_forward(x)
+        return self._output(conv2d(h1, self.core.value, stride=self.stride,
+                                   padding=self.padding, groups=self.out_channels))
 
     def backward(self, dout):
         d4, _ = _batched(dout)
-        co, cn, rk = self.spectral.value.shape
-        w1 = _spectral_to_pointwise(self.spectral.value)
         dh1, _, _ = conv2d_backward(self._h1, self.core.value, d4, stride=self.stride,
-                                    padding=self.padding, groups=co, need_dw=False)
-        dx, dw1, _ = conv2d_backward(self._x4, w1, dh1, need_dw=self.spectral.trainable)
-        if self.spectral.trainable:
-            self.spectral.grad = _pointwise_grad_to_spectral(dw1, co, cn, rk)
-        return dx
-
-    def dense_bank(self) -> np.ndarray:
-        return np.einsum("ocr,oruv->ocuv", self.spectral.value, self.core.value)
-
-    def to_adapted(self) -> AdaptedLayer:
-        return AdaptedLayer(kind=TUCKER, spectral=self.spectral.value.copy(),
-                            core=self.core.value,
-                            bias=self.bias.value if self.bias is not None else None)
+                                    padding=self.padding, groups=self.out_channels,
+                                    need_dw=False)
+        return self._spectral_backward(dh1)
 
 
 class ReduceFirstLayer:
@@ -318,12 +290,12 @@ class ReduceFirstLayer:
 
     kind = "reduce"
 
-    def __init__(self, w1, b1, w2, b2, rgb: FilterBank, stride=1, padding=0, prefix="first"):
-        self.pw1 = Conv2dLayer(Param(f"{prefix}.w1", w1, True), Param(f"{prefix}.b1", b1, True))
+    def __init__(self, w1, b1, w2, b2, rgb: FilterBank, stride=1, padding=0):
+        self.pw1 = Conv2dLayer(Param("first.w1", w1, True), Param("first.b1", b1, True))
         self.act = ReLU()
-        self.pw2 = Conv2dLayer(Param(f"{prefix}.w2", w2, True), Param(f"{prefix}.b2", b2, True))
-        rgb_bias = Param(f"{prefix}.rgb_bias", rgb.bias, False) if rgb.bias is not None else None
-        self.rgb = Conv2dLayer(Param(f"{prefix}.rgb_weight", rgb.weights, False), rgb_bias,
+        self.pw2 = Conv2dLayer(Param("first.w2", w2, True), Param("first.b2", b2, True))
+        rgb_bias = Param("first.rgb_bias", rgb.bias, False) if rgb.bias is not None else None
+        self.rgb = Conv2dLayer(Param("first.rgb_weight", rgb.weights, False), rgb_bias,
                                stride=stride, padding=padding)
         if (self.pw2.in_channels, self.rgb.in_channels) != (self.hidden, self.pw2.out_channels):
             raise ShapeError(
@@ -375,10 +347,10 @@ class ScratchFirstLayer(Conv2dLayer):
 
     kind = "scratch"
 
-    def __init__(self, weight, bias=None, stride=1, padding=0, prefix="first"):
+    def __init__(self, weight, bias=None, stride=1, padding=0):
         super().__init__(
-            Param(f"{prefix}.weight", weight, True),
-            Param(f"{prefix}.bias", bias, False) if bias is not None else None,
+            Param("first.weight", weight, True),
+            Param("first.bias", bias, False) if bias is not None else None,
             stride=stride, padding=padding,
         )
 

@@ -109,10 +109,11 @@ class Model:
         self.first.backward(self.relu1.backward(da))
 
 
+_FIRST_LAYERS = {CP: CpFirstLayer, TUCKER: TuckerFirstLayer}
+
+
 def first_layer_from_adapted(adapted: AdaptedLayer, stride=1, padding=0):
-    if adapted.kind == CP:
-        return CpFirstLayer(adapted, stride=stride, padding=padding)
-    return TuckerFirstLayer(adapted, stride=stride, padding=padding)
+    return _FIRST_LAYERS[adapted.kind](adapted, stride=stride, padding=padding)
 
 
 def build_model(first, classes: int, pool=(1, 1), seed: int = 0) -> Model:
@@ -242,15 +243,12 @@ def load_model(path: str):
     def maybe(name):
         return blocks[name][1] if name in blocks else None
 
-    if method == CP:
-        adapted = AdaptedLayer(kind=CP, spectral=take("first.spectral"),
-                               x=take("first.x"), y=take("first.y"),
-                               bias=maybe("first.bias"))
-        first = CpFirstLayer(adapted, stride=stride, padding=padding)
-    elif method == TUCKER:
-        adapted = AdaptedLayer(kind=TUCKER, spectral=take("first.spectral"),
-                               core=take("first.core"), bias=maybe("first.bias"))
-        first = TuckerFirstLayer(adapted, stride=stride, padding=padding)
+    if method in _FIRST_LAYERS:
+        spatial = _FIRST_LAYERS[method]._spatial_blocks
+        adapted = AdaptedLayer(kind=method, spectral=take("first.spectral"),
+                               bias=maybe("first.bias"),
+                               **{name: take(f"first.{name}") for name in spatial})
+        first = first_layer_from_adapted(adapted, stride=stride, padding=padding)
     elif method == "reduce":
         rgb = FilterBank(take("first.rgb_weight"), maybe("first.rgb_bias"))
         first = ReduceFirstLayer(take("first.w1"), take("first.b1"),

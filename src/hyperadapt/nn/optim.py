@@ -11,30 +11,29 @@ import numpy as np
 
 __all__ = ["Adam"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params):
         self.params = [p for p in params if p.trainable]
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in self.params}
         self.v = {p.name: np.zeros_like(p.value) for p in self.params}
 
-    def step(self, lr: float, grads: dict | None = None) -> None:
-        """Update every trainable block in a fixed order (deterministic)."""
+    def step(self, lr: float) -> None:
+        """Update every trainable block from its ``grad`` in a fixed order (deterministic)."""
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
         for p in self.params:
-            g = grads[p.name] if grads is not None else p.grad
+            g = p.grad
             if g is None:
                 raise ValueError(f"no gradient for trainable block {p.name!r}")
             m = self.m[p.name]
             v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p.value -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p.value -= lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)

@@ -154,6 +154,20 @@ class TestTrainCmd:
         assert main(["train", "--config", cfg]) == 1
         assert not (tmp_path / "model.mdl1").exists()
 
+    @pytest.mark.parametrize("hostile", ["negative", "beyond_tile_count"])
+    def test_hostile_labels_are_data_errors(self, tmp_path, capsys, hostile):
+        train_ts, test_ts = synth_spectral_task(6, 2, 8, seed=0, tile=8)
+        n = len(train_ts) + len(test_ts)
+        labels = train_ts.labels.copy()
+        labels[0] = -1 if hostile == "negative" else n  # n tiles show at most n classes
+        train_path, test_path = tmp_path / "train.tls", tmp_path / "test.tls"
+        save_tiles(TileSet(train_ts.tiles, labels, split="train"), str(train_path))
+        save_tiles(test_ts, str(test_path))
+        cfg = write_config(tmp_path, train_tiles=train_path, test_tiles=test_path)
+        assert main(["train", "--config", cfg]) == 1
+        assert f"labels must lie in [0, {n}) for {n} tiles" in capsys.readouterr().err
+        assert not (tmp_path / "model.mdl1").exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("methd = cp\n")

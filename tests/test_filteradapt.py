@@ -110,6 +110,10 @@ class TestAdapt:
         with pytest.raises(ValueError):
             layer.bias[0] = 9.0
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(UnsupportedKindError, match="foo"):
+            AdaptedLayer(kind="foo", spectral=np.zeros((2, 4, 1)), core=np.zeros((2, 1, 3, 3)))
+
 
 class TestDecompress:
     def test_zero_spectral_gives_zero_bank(self, cp_decomps):

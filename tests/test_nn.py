@@ -3,7 +3,7 @@ import pytest
 
 from hyperadapt.data import synth_filter_bank, synth_spectral_task
 from hyperadapt.decomp import decompose_bank
-from hyperadapt.errors import DataError, NumericalError, ShapeError
+from hyperadapt.errors import DataError, FormatError, NumericalError, ShapeError
 from hyperadapt.filteradapt import AdaptedLayer, adapt, decompress
 from hyperadapt.nn import (
     Adam,
@@ -152,16 +152,17 @@ class TestScratch:
         assert np.abs(layer.weight.value).max() <= limit
 
 
-def micro_model(method, seed=0, channels=8, classes=3):
+def micro_model(method, seed=0, channels=8, classes=3, stride=1, padding=0):
     bank = synth_filter_bank(4, 5, seed=seed)
+    geometry = {"stride": stride, "padding": padding}
     if method in ("cp", "tucker"):
         decomps, _ = decompose_bank(bank, method, 2)
         layer = adapt(decomps, channels, init="interp", seed=seed, bias=bank.bias)
-        first = first_layer_from_adapted(layer)
+        first = first_layer_from_adapted(layer, **geometry)
     elif method == "reduce":
-        first = build_reduce(channels, bank, rank=2, seed=seed)
+        first = build_reduce(channels, bank, rank=2, seed=seed, **geometry)
     else:
-        first = build_scratch(channels, bank, seed=seed)
+        first = build_scratch(channels, bank, seed=seed, **geometry)
     model = build_model(first, classes, pool=(1, 1), seed=seed)
     rng = np.random.default_rng([seed, 99])
     batch = rng.standard_normal((4, channels, 12, 12))
@@ -221,6 +222,12 @@ class TestGradients:
     @pytest.mark.parametrize("method", ["cp", "tucker", "reduce", "scratch"])
     def test_finite_difference_agreement(self, method):
         model, batch, labels = micro_model(method)
+        worst = gradient_check(model, batch, labels)
+        assert max(worst.values()) <= 1e-5
+
+    @pytest.mark.parametrize("method", ["cp", "tucker", "reduce", "scratch"])
+    def test_strided_padded_finite_difference_agreement(self, method):
+        model, batch, labels = micro_model(method, stride=2, padding=1)
         worst = gradient_check(model, batch, labels)
         assert max(worst.values()) <= 1e-5
 
@@ -326,6 +333,14 @@ class TestCheckpoint:
             assert a.trainable == b.trainable
             assert np.array_equal(a.value, b.value)
         assert np.allclose(loaded.forward(batch), model.forward(batch))
+
+    def test_missing_spatial_block_is_format_error(self, tmp_path):
+        model, _, _ = micro_model("cp")
+        model.named_params()["first.y"].name = "first.z"
+        path = tmp_path / "m.mdl1"
+        save_model(model, str(path))
+        with pytest.raises(FormatError, match="first.y"):
+            load_model(str(path))
 
     def test_evaluate_consistency(self):
         model, batch, labels = micro_model("cp")
