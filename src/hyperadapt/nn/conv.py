@@ -5,6 +5,13 @@ because decomposition components are orientation-sensitive. Weights are laid
 out (out_channels, in_channels // groups, kh, kw); activations are
 (N, C, H, W), with single-image (C, H, W) inputs accepted and returned
 everywhere. All float64, all deterministic.
+
+Each operation is one einsum over a sliding-window view of the padded input.
+Its equation carries a group axis ``g`` only when groups > 1. numpy lowers a
+pair contraction to a single ``matmul``, but it first sums a size-1 axis away
+in a separate pass over the whole window view, and that pass costs more than
+the ``matmul``. Without the axis, the same ``matmul`` runs on the same
+operands, so the results are the same bits and cost about half as much.
 """
 
 from __future__ import annotations
@@ -43,15 +50,13 @@ def _batched(x):
     raise ShapeError(f"expected (C, H, W) or (N, C, H, W) input, got order {x.ndim}")
 
 
-def conv2d(x, w, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
-    """Grouped 2-D cross-correlation."""
-    x4, squeeze = _batched(x)
-    w = np.asarray(w, dtype=np.float64)
+def _output_size(x4, w, stride, padding, groups) -> tuple[int, int]:
+    """Validate a conv call and return its output (Ho, Wo)."""
     if w.ndim != 4:
         raise ShapeError(f"weights must be order 4, got order {w.ndim}")
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    n, c, h, wd = x4.shape
+    _, c, h, wd = x4.shape
     c_out, c_in_g, kh, kw = w.shape
     if c != c_in_g * groups:
         raise ShapeError(
@@ -66,13 +71,35 @@ def conv2d(x, w, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
             f"empty output {ho}x{wo}: input {h}x{wd}, kernel {kh}x{kw}, "
             f"stride {sh}x{sw}, padding {ph}x{pw}"
         )
+    return ho, wo
+
+
+def _windows(x4, w, stride, padding):
+    """(N, C, Ho, Wo, kh, kw) view of the padded input's receptive fields."""
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
     xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    og = c_out // groups
-    win_g = win.reshape(n, groups, c_in_g, ho, wo, kh, kw)
-    w_g = w.reshape(groups, og, c_in_g, kh, kw)
-    out = np.einsum("ngchwuv,gocuv->ngohw", win_g, w_g, optimize=True)
-    out = out.reshape(n, c_out, ho, wo)
+    return sliding_window_view(xp, w.shape[2:], axis=(2, 3))[:, :, ::sh, ::sw]
+
+
+def _split_groups(a, axis, groups):
+    """Split ``axis`` into (groups, size // groups); a no-op when groups == 1."""
+    if groups == 1:
+        return a
+    shape = a.shape
+    return a.reshape(shape[:axis] + (groups, shape[axis] // groups) + shape[axis + 1:])
+
+
+def conv2d(x, w, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
+    """Grouped 2-D cross-correlation."""
+    x4, squeeze = _batched(x)
+    w = np.asarray(w, dtype=np.float64)
+    ho, wo = _output_size(x4, w, stride, padding, groups)
+    g = "g" if groups > 1 else ""
+    win = _split_groups(_windows(x4, w, stride, padding), 1, groups)
+    out = np.einsum(f"n{g}chwuv,{g}ocuv->n{g}ohw", win, _split_groups(w, 0, groups),
+                    optimize=True)
+    out = out.reshape(x4.shape[0], w.shape[0], ho, wo)
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float64)[:, None, None]
     return out[0] if squeeze else out
@@ -84,31 +111,33 @@ def conv2d_backward(x, w, dout, stride=1, padding=0, groups=1,
     x4, squeeze = _batched(x)
     d4, _ = _batched(dout)
     w = np.asarray(w, dtype=np.float64)
+    ho, wo = _output_size(x4, w, stride, padding, groups)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     n, c, h, wd = x4.shape
-    c_out, c_in_g, kh, kw = w.shape
-    og = c_out // groups
-    ho, wo = d4.shape[2], d4.shape[3]
-    dout_g = d4.reshape(n, groups, og, ho, wo)
+    c_out, _, kh, kw = w.shape
+    if d4.shape != (n, c_out, ho, wo):
+        raise ShapeError(
+            f"output gradient has shape {d4.shape}, the convolution gives {(n, c_out, ho, wo)}"
+        )
+    g = "g" if groups > 1 else ""
+    dout_g = _split_groups(d4, 1, groups)
 
     dw = None
     if need_dw:
-        xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        win_g = win.reshape(n, groups, c_in_g, ho, wo, kh, kw)
-        dw = np.einsum("ngohw,ngchwuv->gocuv", dout_g, win_g, optimize=True)
-        dw = dw.reshape(c_out, c_in_g, kh, kw)
+        win = _split_groups(_windows(x4, w, stride, padding), 1, groups)
+        dw = np.einsum(f"n{g}ohw,n{g}chwuv->{g}ocuv", dout_g, win, optimize=True)
+        dw = dw.reshape(w.shape)
 
     db = d4.sum(axis=(0, 2, 3)) if need_db else None
 
     dx = None
     if need_dx:
-        w_g = w.reshape(groups, og, c_in_g, kh, kw)
+        w_g = _split_groups(w, 0, groups)
         dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
         for u in range(kh):
             for v in range(kw):
-                contrib = np.einsum("ngohw,goc->ngchw", dout_g, w_g[:, :, :, u, v],
+                contrib = np.einsum(f"n{g}ohw,{g}oc->n{g}chw", dout_g, w_g[..., u, v],
                                     optimize=True)
                 dxp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += contrib.reshape(n, c, ho, wo)
         dx = dxp[:, :, ph:ph + h, pw:pw + wd]

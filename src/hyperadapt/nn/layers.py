@@ -20,6 +20,10 @@ the frozen spatial stage between them differs:
 Both match the dense convolution of the decompressed bank to float64
 round-off. The pointwise stages carry no bias so the pipelines stay exactly
 multilinear in the spectral parameters.
+
+A first layer reads the model input, whose gradient nothing uses, so no
+first layer computes it: every first layer's ``backward`` sets the gradients
+of its trainable blocks and returns None.
 """
 
 from __future__ import annotations
@@ -100,6 +104,9 @@ class Linear:
 class Conv2dLayer:
     """Plain conv layer around a weight Param and optional bias Param."""
 
+    # Whether backward computes and returns the input gradient.
+    _need_dx = True
+
     def __init__(self, weight: Param, bias: Param | None = None,
                  stride=1, padding=0, groups=1):
         if weight.value.ndim != 4:
@@ -136,13 +143,19 @@ class Conv2dLayer:
         need_db = self.bias is not None and self.bias.trainable
         dx, dw, db = conv2d_backward(
             self._x, self.weight.value, dout, self.stride, self.padding, self.groups,
-            need_dx=True, need_dw=self.weight.trainable, need_db=need_db,
+            need_dx=self._need_dx, need_dw=self.weight.trainable, need_db=need_db,
         )
         if self.weight.trainable:
             self.weight.grad = dw
         if need_db:
             self.bias.grad = db
         return dx
+
+
+class _InputConv2dLayer(Conv2dLayer):
+    """A conv layer that reads the model input: its backward returns None."""
+
+    _need_dx = False
 
 
 class _SpectralFirstLayer:
@@ -207,11 +220,10 @@ class _SpectralFirstLayer:
 
     def _spectral_backward(self, dh1):
         co, cn, rk = self.spectral.value.shape
-        dx, dw, _ = conv2d_backward(self._x4, self._pointwise_weight(), dh1,
-                                    need_dw=self.spectral.trainable)
+        _, dw, _ = conv2d_backward(self._x4, self._pointwise_weight(), dh1,
+                                   need_dx=False, need_dw=self.spectral.trainable)
         if self.spectral.trainable:
             self.spectral.grad = np.ascontiguousarray(dw.reshape(co, rk, cn).transpose(0, 2, 1))
-        return dx
 
     def dense_bank(self) -> np.ndarray:
         return decompress(self.to_adapted())
@@ -258,7 +270,7 @@ class CpFirstLayer(_SpectralFirstLayer):
                                     groups=wh.shape[0], need_dw=False)
         dh1, _, _ = conv2d_backward(self._h1, wv, dh2, stride=(sh, 1), padding=(ph, 0),
                                     groups=wv.shape[0], need_dw=False)
-        return self._spectral_backward(dh1)
+        self._spectral_backward(dh1)
 
 
 class TuckerFirstLayer(_SpectralFirstLayer):
@@ -277,7 +289,7 @@ class TuckerFirstLayer(_SpectralFirstLayer):
         dh1, _, _ = conv2d_backward(self._h1, self.core.value, d4, stride=self.stride,
                                     padding=self.padding, groups=self.out_channels,
                                     need_dw=False)
-        return self._spectral_backward(dh1)
+        self._spectral_backward(dh1)
 
 
 class ReduceFirstLayer:
@@ -291,7 +303,7 @@ class ReduceFirstLayer:
     kind = "reduce"
 
     def __init__(self, w1, b1, w2, b2, rgb: FilterBank, stride=1, padding=0):
-        self.pw1 = Conv2dLayer(Param("first.w1", w1, True), Param("first.b1", b1, True))
+        self.pw1 = _InputConv2dLayer(Param("first.w1", w1, True), Param("first.b1", b1, True))
         self.act = ReLU()
         self.pw2 = Conv2dLayer(Param("first.w2", w2, True), Param("first.b2", b2, True))
         rgb_bias = Param("first.rgb_bias", rgb.bias, False) if rgb.bias is not None else None
@@ -336,13 +348,13 @@ class ReduceFirstLayer:
 
     def backward(self, dout):
         d4, _ = _batched(dout)
-        return self.pw1.backward(self.act.backward(self.pw2.backward(self.rgb.backward(d4))))
+        self.pw1.backward(self.act.backward(self.pw2.backward(self.rgb.backward(d4))))
 
     def dense_bank(self) -> np.ndarray:
         return self.rgb.weight.value
 
 
-class ScratchFirstLayer(Conv2dLayer):
+class ScratchFirstLayer(_InputConv2dLayer):
     """Full-width dense first layer trained from scratch; bias stays frozen."""
 
     kind = "scratch"

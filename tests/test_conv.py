@@ -106,6 +106,39 @@ class TestConvBackward:
                 assert gflat[idx] == pytest.approx((hi - lo) / (2 * eps), rel=1e-5, abs=1e-7)
 
 
+    @pytest.mark.parametrize("x_shape,w_shape,groups", [
+        ((1, 3, 6, 6), (4, 2, 3, 3), 1),
+        ((1, 4, 6, 6), (3, 2, 3, 3), 2),
+    ])
+    def test_channel_and_group_mismatch(self, x_shape, w_shape, groups):
+        x, w = np.ones(x_shape), np.ones(w_shape)
+        with pytest.raises(ShapeError):
+            conv2d_backward(x, w, np.ones((1, w_shape[0], 4, 4)), groups=groups)
+
+    @pytest.mark.parametrize("dout_shape", [
+        (1, 3, 4, 4), (1, 4, 3, 4), (1, 4, 4, 1), (2, 4, 4, 4), (4, 4),
+    ])
+    def test_dout_shape_mismatch(self, dout_shape):
+        # (1, 4, 6, 6) input, 3x3 kernel, no padding: the output is (1, 4, 4, 4).
+        x, w = np.ones((1, 4, 6, 6)), np.ones((4, 4, 3, 3))
+        with pytest.raises(ShapeError):
+            conv2d_backward(x, w, np.ones(dout_shape))
+
+    @pytest.mark.parametrize("stride,padding,groups", [
+        (1, 0, 1), (2, 1, 1), (1, 1, 2), (2, 0, 4),
+    ])
+    def test_skipping_dx_keeps_dw_and_db_bits(self, stride, padding, groups):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 4, 7, 6))
+        w = rng.standard_normal((8, 4 // groups, 3, 2))
+        dout = rng.standard_normal(conv2d(x, w, None, stride, padding, groups).shape)
+        dx, dw, db = conv2d_backward(x, w, dout, stride, padding, groups, need_db=True)
+        skip_dx, skip_dw, skip_db = conv2d_backward(x, w, dout, stride, padding, groups,
+                                                    need_dx=False, need_db=True)
+        assert dx is not None and skip_dx is None
+        assert np.array_equal(dw, skip_dw) and np.array_equal(db, skip_db)
+
+
 class TestAdaptivePool:
     def test_identity_when_target_equals_input(self):
         x = np.random.default_rng(4).standard_normal((2, 4, 4))

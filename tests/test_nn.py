@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,60 @@ class TestGradients:
         monkeypatch.setattr(gc, "forward_backward", flipped)
         worst = gc.gradient_check(model, batch, labels)
         assert worst["first.spectral"] > 1e-2
+
+
+# SHA-256 over the logits and then each trainable gradient (name, then float64
+# bytes) of one forward_backward on micro_model, recorded with numpy 2.4 before
+# the groups == 1 einsums dropped their size-1 group axis. A change of any bit
+# fails here, so every round-off change to the kernels is a deliberate one.
+PASS_DIGESTS = {
+    ("cp", 1, 0): "6394753bb361a59e4530bbc93aee62eb43b319775042ce90569961194fad62f4",
+    ("cp", 2, 1): "276bb5801683949b413877bcd7a284ee4d696475411391acd1940f09f970bf88",
+    ("tucker", 1, 0): "c7ab9cb9f8af4e39166dbcca672eddcd293276f72ab35bc385109ed46c0ba255",
+    ("tucker", 2, 1): "aa7c2c49b239d2fc1a7b7f96f8440800be674bc39a8b9b85e287d6a88d919cd7",
+    ("reduce", 1, 0): "e325ff8cc01eb2a46ac13987c393aea61d994a9693dc9819e6af96389d6ade48",
+    ("reduce", 2, 1): "c4b1ce1df90472581609af9077d76742a3dbaca564ee9ffda7e651c89e164f45",
+    ("scratch", 1, 0): "f5241c24d2b71f173e627300b9450dc443edfee2a7bfde1a7ec24b790d6e526b",
+    ("scratch", 2, 1): "d6c17956f1c73a6158c3ee40645db90deddf3a711160b68b0e0cadd0f723f3f3",
+}
+
+
+class TestBitExactPass:
+    # Other numpy releases bundle other BLAS and LAPACK builds (and an older
+    # einsum), which may round differently; the digests hold for 2.4 only.
+    @pytest.mark.skipif(not np.__version__.startswith("2.4."),
+                        reason="digests recorded with numpy 2.4")
+    @pytest.mark.parametrize("method,stride,padding", sorted(PASS_DIGESTS))
+    def test_logits_and_gradients_are_pinned(self, method, stride, padding):
+        model, batch, labels = micro_model(method, stride=stride, padding=padding)
+        digest = hashlib.sha256(model.forward(batch).tobytes())
+        _, _, grads = forward_backward(model, batch, labels)
+        for name, grad in grads.items():
+            digest.update(name.encode())
+            digest.update(grad.tobytes())
+        assert digest.hexdigest() == PASS_DIGESTS[method, stride, padding]
+
+    @pytest.mark.parametrize("method", ["cp", "tucker", "reduce", "scratch"])
+    def test_first_layer_skips_input_gradient(self, method, monkeypatch):
+        from hyperadapt.nn import layers
+
+        model, batch, labels = micro_model(method, stride=2, padding=1)
+        calls = []
+        real = layers.conv2d_backward
+
+        def recording(x, w, dout, *args, need_dx=True, **kwargs):
+            calls.append((x is batch, w is model.mid.weight.value, need_dx))
+            return real(x, w, dout, *args, need_dx=need_dx, **kwargs)
+
+        monkeypatch.setattr(layers, "conv2d_backward", recording)
+        forward_backward(model, batch, labels)
+        # Exactly one conv reads the input batch, and it skips dx; the mid
+        # conv and the first layer's inner stages still propagate.
+        assert [need_dx for reads_input, _, need_dx in calls if reads_input] == [False]
+        assert [need_dx for _, is_mid, need_dx in calls if is_mid] == [True]
+        assert all(need_dx for reads_input, _, need_dx in calls if not reads_input)
+        out = model.first.forward(batch)
+        assert model.first.backward(np.ones_like(out)) is None
 
 
 class TestTraining:
