@@ -41,11 +41,20 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def read_exact(f, n: int, what: str) -> bytes:
-    """Read exactly n bytes or raise a FormatError naming the shortfall."""
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated file: expected {n} bytes for {what}, got {len(data)}")
+def read_exact(f, n: int, what: str, out=None):
+    """Read exactly n bytes or raise a FormatError naming the shortfall.
+
+    Returns the bytes, or, given an ``out`` array of n bytes, fills it and
+    returns it.
+    """
+    if out is None:
+        data = f.read(n)
+        got = len(data)
+    else:
+        data = out
+        got = f.readinto(out.reshape(-1).view(np.uint8))
+    if got != n:
+        raise FormatError(f"truncated file: expected {n} bytes for {what}, got {got}")
     return data
 
 
@@ -88,12 +97,15 @@ class Reader:
         self._f = f
         self.left = size
 
-    def _take(self, n: int, what: str) -> bytes:
+    def _claim(self, n: int, what: str) -> None:
         if n > self.left:
             raise FormatError(
                 f"truncated file: expected {n} bytes for {what}, got {self.left}"
             )
         self.left -= n
+
+    def _take(self, n: int, what: str) -> bytes:
+        self._claim(n, what)
         return read_exact(self._f, n, what)
 
     def _uints(self, size: int, count: int, what: str) -> tuple[int, ...]:
@@ -114,11 +126,14 @@ class Reader:
     def array(self, dtype: str, shape, what: str) -> np.ndarray:
         """A writable native-endian copy of ``shape`` values stored as ``dtype``."""
         dt = np.dtype(dtype)
-        raw = self._take(dt.itemsize * math.prod(shape), what)
+        n = dt.itemsize * math.prod(shape)
+        self._claim(n, what)
         try:
-            return np.frombuffer(raw, dtype=dt).reshape(shape).astype(dt.newbyteorder("="))
+            out = np.empty(shape, dtype=dt)
         except ValueError:  # too many axes, or a zero-size shape numpy cannot index
             raise FormatError(f"{what} has a shape numpy cannot hold: {shape}") from None
+        read_exact(self._f, n, what, out)
+        return out.astype(dt.newbyteorder("="), copy=False)
 
     def text(self, what: str, prefix: int = 4, encoding: str = "utf-8") -> str:
         raw = self._take(self._uints(prefix, 1, f"{what} length")[0], what)

@@ -145,6 +145,10 @@ def _validate_config(cfg: RunConfig) -> None:
         raise UsageError("rank must be >= 1")
     if cfg.pool < 1:
         raise UsageError("pool target must be >= 1")
+    if cfg.stride < 1 or cfg.padding < 0:
+        raise UsageError("need stride >= 1 and padding >= 0")
+    if cfg.restarts < 0 or cfg.max_iters < 1:
+        raise UsageError("need restarts >= 0 and max_iters >= 1")
     if cfg.lr0 <= 0 or not 0 < cfg.gamma <= 1:
         raise UsageError("need lr0 > 0 and 0 < gamma <= 1")
     if cfg.batch < 1 or cfg.epochs < 0:
@@ -189,10 +193,13 @@ def _build_first_layer(cfg: RunConfig, bank: FilterBank, channels: int):
                          stride=cfg.stride, padding=cfg.padding)
 
 
-def _run_training(cfg: RunConfig):
+def _load_run(cfg: RunConfig):
+    """What a run trains on, none of which depends on its rank or seed.
+
+    Returns the normalized (train, test) tiles, the RGB bank and the class count.
+    """
     train_ts, test_ts = _load_task(cfg)
     bank = _load_bank(cfg)
-    first = _build_first_layer(cfg, bank, train_ts.channels)
     # normalize() has already rejected an empty training set; train() rejects an empty test set.
     labels = np.concatenate((train_ts.labels, test_ts.labels))
     classes = int(labels.max()) + 1
@@ -202,6 +209,13 @@ def _run_training(cfg: RunConfig):
             f"labels must lie in [0, {labels.size}) for {labels.size} tiles, "
             f"got range [{labels.min()}, {labels.max()}]"
         )
+    return train_ts, test_ts, bank, classes
+
+
+def _run_training(cfg: RunConfig, run):
+    """Train on ``run``, as returned by :func:`_load_run`."""
+    train_ts, test_ts, bank, classes = run
+    first = _build_first_layer(cfg, bank, train_ts.channels)
     model = build_model(first, classes, pool=(cfg.pool, cfg.pool), seed=cfg.seed)
     tc = TrainConfig(lr0=cfg.lr0, gamma=cfg.gamma, batch_size=cfg.batch,
                      epochs=cfg.epochs, seed=cfg.seed)
@@ -245,7 +259,7 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         cfg = replace(cfg, epochs=args.epochs)
     _validate_config(cfg)
-    model, rows = _run_training(cfg)
+    model, rows = _run_training(cfg, _load_run(cfg))
     write_log_csv(rows, cfg.out_log)
     save_model(model, cfg.out_model, meta={
         "method": cfg.method, "rank": str(cfg.rank), "init": cfg.init,
@@ -284,10 +298,11 @@ def cmd_rank_sweep(args) -> int:
     if args.seeds < 1:
         raise UsageError("need at least one seed")
 
+    run = _load_run(cfg)
     results = []
     for rank in ranks:
         for s in range(args.seeds):
-            model, rows = _run_training(replace(cfg, rank=rank, seed=cfg.seed + s))
+            model, rows = _run_training(replace(cfg, rank=rank, seed=cfg.seed + s), run)
             results.append((rank, rows[-1][4] if rows else 0.0, count_trainable(model)))
 
     lines = ["rank,mean_accuracy,sem,trainable_params"]

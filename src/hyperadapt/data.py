@@ -239,7 +239,8 @@ def normalize(ts: TileSet) -> TileSet:
 
 def apply_stats(ts: TileSet, stats: Stats) -> TileSet:
     """Shift tiles with previously fit stats (the only path that touches test tiles)."""
-    tiles = (ts.tiles - stats.mean[:, None, None]) / stats.std[:, None, None]
+    tiles = ts.tiles - stats.mean[:, None, None]
+    tiles /= stats.std[:, None, None]
     return replace(ts, tiles=tiles, stats=stats)
 
 

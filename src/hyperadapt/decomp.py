@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import Writer, reading
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, UsageError
 from .linalg import lstsq_gram, svd
 from .tensor import as_tensor, frobenius_norm, khatri_rao, mode_product, unfold
 
@@ -60,6 +60,13 @@ class CpOptions:
     max_iters: int = 500
     restarts: int = 4       # random restarts tried in addition to the deterministic init
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0 or self.max_iters < 1:
+            raise UsageError(
+                f"need restarts >= 0 and max_iters >= 1, got restarts={self.restarts}, "
+                f"max_iters={self.max_iters}"
+            )
 
 
 @dataclass

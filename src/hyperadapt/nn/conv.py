@@ -6,12 +6,18 @@ out (out_channels, in_channels // groups, kh, kw); activations are
 (N, C, H, W), with single-image (C, H, W) inputs accepted and returned
 everywhere. All float64, all deterministic.
 
-Each operation is one einsum over a sliding-window view of the padded input.
-Its equation carries a group axis ``g`` only when groups > 1. numpy lowers a
-pair contraction to a single ``matmul``, but it first sums a size-1 axis away
-in a separate pass over the whole window view, and that pass costs more than
-the ``matmul``. Without the axis, the same ``matmul`` runs on the same
-operands, so the results are the same bits and cost about half as much.
+Each convolution is one ``matmul`` against a patch matrix (im2col; Chetlur
+et al. 2014). ``_cols`` copies the sliding-window view of the input once
+into a C-ordered (G, C/G*kh*kw, N*Ho*Wo) matrix, and the weights, reshaped
+to (G, O/G, C/G*kh*kw), go on the left. ``dw`` multiplies the same patch
+matrix by the output gradient laid out (G, N*Ho*Wo, O/G), and ``dx`` adds
+one (G, C/G, O/G) x (G, O/G, N*Ho*Wo) product per kernel tap into a padded
+buffer. These are the operands that numpy 2.4's Einstein summation, which
+these kernels used before, handed to BLAS for the same contractions. So for
+batches of two or more, at least two input channels and outputs larger than
+1x1 the results keep its bits, without the extra copies it made for size-1
+axes (1x1 kernels, depthwise, one output per group). At padding 0 the window
+view reads the input itself, with no padded copy.
 """
 
 from __future__ import annotations
@@ -56,6 +62,9 @@ def _output_size(x4, w, stride, padding, groups) -> tuple[int, int]:
         raise ShapeError(f"weights must be order 4, got order {w.ndim}")
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
+    if min(sh, sw) < 1 or min(ph, pw) < 0:
+        raise ShapeError(f"need stride >= 1 and padding >= 0, got stride {sh}x{sw}, "
+                         f"padding {ph}x{pw}")
     _, c, h, wd = x4.shape
     c_out, c_in_g, kh, kw = w.shape
     if c != c_in_g * groups:
@@ -78,16 +87,18 @@ def _windows(x4, w, stride, padding):
     """(N, C, Ho, Wo, kh, kw) view of the padded input's receptive fields."""
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    return sliding_window_view(xp, w.shape[2:], axis=(2, 3))[:, :, ::sh, ::sw]
+    if ph or pw:
+        x4 = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    return sliding_window_view(x4, w.shape[2:], axis=(2, 3))[:, :, ::sh, ::sw]
 
 
-def _split_groups(a, axis, groups):
-    """Split ``axis`` into (groups, size // groups); a no-op when groups == 1."""
-    if groups == 1:
-        return a
-    shape = a.shape
-    return a.reshape(shape[:axis] + (groups, shape[axis] // groups) + shape[axis + 1:])
+def _cols(x4, w, stride, padding, groups):
+    """The patch matrix (G, C/G*kh*kw, N*Ho*Wo), copied once into C order."""
+    win = _windows(x4, w, stride, padding)
+    n, c, ho, wo, kh, kw = win.shape
+    win = win.reshape(n, groups, c // groups, ho, wo, kh, kw)
+    return np.ascontiguousarray(win.transpose(1, 2, 5, 6, 0, 3, 4)).reshape(
+        groups, -1, n * ho * wo)
 
 
 def conv2d(x, w, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
@@ -95,11 +106,11 @@ def conv2d(x, w, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     x4, squeeze = _batched(x)
     w = np.asarray(w, dtype=np.float64)
     ho, wo = _output_size(x4, w, stride, padding, groups)
-    g = "g" if groups > 1 else ""
-    win = _split_groups(_windows(x4, w, stride, padding), 1, groups)
-    out = np.einsum(f"n{g}chwuv,{g}ocuv->n{g}ohw", win, _split_groups(w, 0, groups),
-                    optimize=True)
-    out = out.reshape(x4.shape[0], w.shape[0], ho, wo)
+    n = x4.shape[0]
+    c_out = w.shape[0]
+    out = np.matmul(w.reshape(groups, c_out // groups, -1),
+                    _cols(x4, w, stride, padding, groups))
+    out = out.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float64)[:, None, None]
     return out[0] if squeeze else out
@@ -115,31 +126,34 @@ def conv2d_backward(x, w, dout, stride=1, padding=0, groups=1,
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     n, c, h, wd = x4.shape
-    c_out, _, kh, kw = w.shape
+    c_out, c_in_g, kh, kw = w.shape
     if d4.shape != (n, c_out, ho, wo):
         raise ShapeError(
             f"output gradient has shape {d4.shape}, the convolution gives {(n, c_out, ho, wo)}"
         )
-    g = "g" if groups > 1 else ""
-    dout_g = _split_groups(d4, 1, groups)
+    o_g = c_out // groups
+    # (G, O/G, N, Ho, Wo) view of the output gradient.
+    d5 = d4.reshape(n, groups, o_g, ho, wo).transpose(1, 2, 0, 3, 4)
 
     dw = None
     if need_dw:
-        win = _split_groups(_windows(x4, w, stride, padding), 1, groups)
-        dw = np.einsum(f"n{g}ohw,n{g}chwuv->{g}ocuv", dout_g, win, optimize=True)
-        dw = dw.reshape(w.shape)
+        dout_t = np.ascontiguousarray(d5.transpose(0, 2, 3, 4, 1)).reshape(groups, -1, o_g)
+        dw = np.matmul(_cols(x4, w, stride, padding, groups), dout_t)
+        dw = dw.reshape(groups, c_in_g, kh, kw, o_g).transpose(0, 4, 1, 2, 3).reshape(w.shape)
 
     db = d4.sum(axis=(0, 2, 3)) if need_db else None
 
     dx = None
     if need_dx:
-        w_g = _split_groups(w, 0, groups)
+        dout_t = np.ascontiguousarray(d5).reshape(groups, o_g, -1)
+        # (kh, kw, G, C/G, O/G): each tap's transposed weights, contiguous.
+        w_t = np.ascontiguousarray(
+            w.reshape(groups, o_g, c_in_g, kh, kw).transpose(3, 4, 0, 2, 1))
         dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
         for u in range(kh):
             for v in range(kw):
-                contrib = np.einsum(f"n{g}ohw,{g}oc->n{g}chw", dout_g, w_g[..., u, v],
-                                    optimize=True)
-                dxp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += contrib.reshape(n, c, ho, wo)
+                contrib = np.matmul(w_t[u, v], dout_t).reshape(c, n, ho, wo)
+                dxp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += contrib.transpose(1, 0, 2, 3)
         dx = dxp[:, :, ph:ph + h, pw:pw + wd]
         if squeeze:
             dx = dx[0]

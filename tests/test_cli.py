@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,13 @@ class TestDecomposeCmd:
         rc = main(["decompose", "--bank", wpath, "--kind", "cp", "--rank", "0",
                    "--out", str(tmp_path / "d.dcp")])
         assert rc == 2
+
+    def test_negative_restarts_is_usage_error(self, tmp_path, bank_files, capsys):
+        _, wpath, _ = bank_files
+        rc = main(["decompose", "--bank", wpath, "--kind", "cp", "--rank", "1",
+                   "--restarts", "-1", "--out", str(tmp_path / "d.dcp")])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_input_is_io_error(self, tmp_path):
         rc = main(["decompose", "--bank", str(tmp_path / "nope.tns"), "--kind", "cp",
@@ -173,6 +182,16 @@ class TestTrainCmd:
         path.write_text("methd = cp\n")
         assert main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("option", [
+        {"stride": 0}, {"padding": -1}, {"restarts": -1}, {"max_iters": 0},
+    ])
+    def test_bad_run_option_is_usage_error(self, tmp_path, capsys, option):
+        cfg = write_config(tmp_path, **option)
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+        assert not (tmp_path / "model.mdl1").exists()
+
     def test_bad_method_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, method="pca")
         assert main(["train", "--config", cfg]) == 2
@@ -181,6 +200,11 @@ class TestTrainCmd:
     def test_all_methods_run(self, tmp_path, method):
         cfg = write_config(tmp_path, method=method, epochs=1)
         assert main(["train", "--config", cfg]) == 0
+
+
+# The sweep of TestRankSweepCmd._tile_config (ranks 1 and 2, two seeds each),
+# recorded when every (rank, seed) run still reloaded the tiles and the bank.
+SWEEP_DIGEST = "0c2a8ff1a44112af5006c1a0e4a6d557bf6dddcab78f7c84e4b9a9cb26e8c2ab"
 
 
 class TestRankSweepCmd:
@@ -209,6 +233,38 @@ class TestRankSweepCmd:
         accs = np.array(accs)
         assert float(row[1]) == pytest.approx(accs.mean(), rel=1e-9)
         assert float(row[2]) == pytest.approx(accs.std(ddof=1) / np.sqrt(3), rel=1e-9)
+
+    def _tile_config(self, tmp_path, bank_files):
+        train_ts, test_ts = synth_spectral_task(6, 3, 24, seed=0, tile=8)
+        save_tiles(train_ts, str(tmp_path / "train.tls"))
+        save_tiles(test_ts, str(tmp_path / "test.tls"))
+        _, wpath, bpath = bank_files
+        return write_config(tmp_path, epochs=3, batch=8, padding=1,
+                            train_tiles=tmp_path / "train.tls", test_tiles=tmp_path / "test.tls",
+                            bank=wpath, bank_bias=bpath)
+
+    def test_sweep_csv_is_pinned(self, tmp_path, bank_files):
+        cfg = self._tile_config(tmp_path, bank_files)
+        out = tmp_path / "sweep.csv"
+        assert main(["rank-sweep", "--config", cfg, "--ranks", "1,2",
+                     "--seeds", "2", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGEST
+
+    def test_tiles_load_once_per_sweep(self, tmp_path, bank_files, monkeypatch):
+        from hyperadapt import cli
+
+        paths = []
+        real = cli.load_tiles
+
+        def counting(path):
+            paths.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_tiles", counting)
+        cfg = self._tile_config(tmp_path, bank_files)
+        assert main(["rank-sweep", "--config", cfg, "--ranks", "1,2",
+                     "--seeds", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        assert paths == [str(tmp_path / "train.tls"), str(tmp_path / "test.tls")]
 
     def test_duplicate_ranks_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

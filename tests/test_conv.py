@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hyperadapt.errors import ShapeError
 from hyperadapt.nn.conv import (
+    _batched,
+    _output_size,
+    _pair,
     adaptive_avg_pool,
     adaptive_avg_pool_backward,
     conv2d,
@@ -35,6 +39,147 @@ def conv_bruteforce(x, w, bias=None, stride=1, padding=0, groups=1):
         if bias is not None:
             out[o] += bias[o]
     return out
+
+
+def conv_backward_bruteforce(x, w, dout, stride=1, padding=0, groups=1):
+    """Direct loops for (dx, dw) of one image, the independent oracle for gradients."""
+    c, h, wd = x.shape
+    c_out, c_in_g, kh, kw = w.shape
+    og = c_out // groups
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for o in range(c_out):
+        g = o // og
+        for i in range(dout.shape[1]):
+            for j in range(dout.shape[2]):
+                for cc in range(c_in_g):
+                    for u in range(kh):
+                        for v in range(kw):
+                            r, q = i * stride + u, j * stride + v
+                            dxp[g * c_in_g + cc, r, q] += w[o, cc, u, v] * dout[o, i, j]
+                            dw[o, cc, u, v] += dout[o, i, j] * xp[g * c_in_g + cc, r, q]
+    return dxp[:, padding:padding + h, padding:padding + wd], dw
+
+
+# The einsum kernels these convolutions replaced, copied unchanged (only
+# renamed). The patch-matrix kernels must keep their bits.
+
+def _einsum_windows(x4, w, stride, padding):
+    """(N, C, Ho, Wo, kh, kw) view of the padded input's receptive fields."""
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
+    xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    return sliding_window_view(xp, w.shape[2:], axis=(2, 3))[:, :, ::sh, ::sw]
+
+
+def _split_groups(a, axis, groups):
+    """Split ``axis`` into (groups, size // groups); a no-op when groups == 1."""
+    if groups == 1:
+        return a
+    shape = a.shape
+    return a.reshape(shape[:axis] + (groups, shape[axis] // groups) + shape[axis + 1:])
+
+
+def einsum_conv2d(x, w, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
+    """Grouped 2-D cross-correlation."""
+    x4, squeeze = _batched(x)
+    w = np.asarray(w, dtype=np.float64)
+    ho, wo = _output_size(x4, w, stride, padding, groups)
+    g = "g" if groups > 1 else ""
+    win = _split_groups(_einsum_windows(x4, w, stride, padding), 1, groups)
+    out = np.einsum(f"n{g}chwuv,{g}ocuv->n{g}ohw", win, _split_groups(w, 0, groups),
+                    optimize=True)
+    out = out.reshape(x4.shape[0], w.shape[0], ho, wo)
+    if bias is not None:
+        out = out + np.asarray(bias, dtype=np.float64)[:, None, None]
+    return out[0] if squeeze else out
+
+
+def einsum_conv2d_backward(x, w, dout, stride=1, padding=0, groups=1,
+                           need_dx=True, need_dw=True, need_db=False):
+    """Gradients of :func:`conv2d`. Returns (dx, dw, db); None where not requested."""
+    x4, squeeze = _batched(x)
+    d4, _ = _batched(dout)
+    w = np.asarray(w, dtype=np.float64)
+    ho, wo = _output_size(x4, w, stride, padding, groups)
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
+    n, c, h, wd = x4.shape
+    c_out, _, kh, kw = w.shape
+    if d4.shape != (n, c_out, ho, wo):
+        raise ShapeError(
+            f"output gradient has shape {d4.shape}, the convolution gives {(n, c_out, ho, wo)}"
+        )
+    g = "g" if groups > 1 else ""
+    dout_g = _split_groups(d4, 1, groups)
+
+    dw = None
+    if need_dw:
+        win = _split_groups(_einsum_windows(x4, w, stride, padding), 1, groups)
+        dw = np.einsum(f"n{g}ohw,n{g}chwuv->{g}ocuv", dout_g, win, optimize=True)
+        dw = dw.reshape(w.shape)
+
+    db = d4.sum(axis=(0, 2, 3)) if need_db else None
+
+    dx = None
+    if need_dx:
+        w_g = _split_groups(w, 0, groups)
+        dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
+        for u in range(kh):
+            for v in range(kw):
+                contrib = np.einsum(f"n{g}ohw,{g}oc->n{g}chw", dout_g, w_g[..., u, v],
+                                    optimize=True)
+                dxp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += contrib.reshape(n, c, ho, wo)
+        dx = dxp[:, :, ph:ph + h, pw:pw + wd]
+        if squeeze:
+            dx = dx[0]
+    return dx, dw, db
+
+
+def random_geometry(rng):
+    """A random conv call: dense, depthwise, one output per group or several per group."""
+    kind = rng.integers(4)
+    if kind == 0:
+        groups, c_in_g, o_g = 1, int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    elif kind == 1:
+        groups, c_in_g, o_g = int(rng.integers(1, 9)), 1, 1
+    elif kind == 2:
+        groups, c_in_g, o_g = int(rng.integers(2, 7)), int(rng.integers(1, 4)), 1
+    else:
+        groups, c_in_g = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        o_g = int(rng.integers(2, 4))
+    kh, kw = (1, 1) if rng.random() < 0.2 else (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+    return dict(n=int(rng.integers(1, 5)), c=groups * c_in_g, h=int(rng.integers(1, 12)),
+                wd=int(rng.integers(1, 12)), c_out=groups * o_g, c_in_g=c_in_g, kh=kh, kw=kw,
+                stride=(int(rng.integers(1, 3)), int(rng.integers(1, 3))),
+                padding=(int(rng.integers(0, 3)), int(rng.integers(0, 3))), groups=groups)
+
+
+def sweep_geometries(seed, count, keep):
+    """``count`` random conv calls with a non-empty output that pass ``keep``."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        g = random_geometry(rng)
+        (sh, sw), (ph, pw) = g["stride"], g["padding"]
+        g["ho"] = conv_output_size(g["h"], g["kh"], sh, ph)
+        g["wo"] = conv_output_size(g["wd"], g["kw"], sw, pw)
+        if g["ho"] >= 1 and g["wo"] >= 1 and keep(g):
+            found.append(g)
+    return found
+
+
+def bit_exact_scope(g):
+    """Where the patch-matrix kernels give the einsum kernels' bits."""
+    return g["n"] >= 2 and g["c"] >= 2 and g["ho"] * g["wo"] > 1
+
+
+def random_operands(g, rng):
+    x = rng.standard_normal((g["n"], g["c"], g["h"], g["wd"]))
+    w = rng.standard_normal((g["c_out"], g["c_in_g"], g["kh"], g["kw"]))
+    dout = rng.standard_normal((g["n"], g["c_out"], g["ho"], g["wo"]))
+    return x, w, dout
 
 
 class TestConvForward:
@@ -137,6 +282,58 @@ class TestConvBackward:
                                                     need_dx=False, need_db=True)
         assert dx is not None and skip_dx is None
         assert np.array_equal(dw, skip_dw) and np.array_equal(db, skip_db)
+
+
+class TestConvArguments:
+    @pytest.mark.parametrize("stride,padding", [
+        (0, 0), ((1, 0), 0), (-1, 1), (1, -1), (1, (0, -2)),
+    ])
+    def test_bad_stride_or_padding(self, stride, padding):
+        x, w = np.ones((1, 2, 6, 6)), np.ones((3, 2, 3, 3))
+        with pytest.raises(ShapeError, match="stride"):
+            conv2d(x, w, stride=stride, padding=padding)
+        with pytest.raises(ShapeError, match="stride"):
+            conv2d_backward(x, w, np.ones((1, 3, 4, 4)), stride=stride, padding=padding)
+
+
+class TestAgainstEinsumKernels:
+    @pytest.mark.skipif(not np.__version__.startswith("2.4."),
+                        reason="bit identity checked against numpy 2.4's einsum")
+    def test_bits_match_in_scope(self):
+        rng = np.random.default_rng(11)
+        for g in sweep_geometries(7, 600, bit_exact_scope):
+            x, w, dout = random_operands(g, rng)
+            args = (g["stride"], g["padding"], g["groups"])
+            new = [conv2d(x, w, None, *args), *conv2d_backward(x, w, dout, *args)[:2]]
+            old = [einsum_conv2d(x, w, None, *args),
+                   *einsum_conv2d_backward(x, w, dout, *args)[:2]]
+            for what, a, b in zip(("forward", "dx", "dw"), new, old):
+                assert np.array_equal(a, b), (what, g)
+                signs_differ = np.signbit(a) != np.signbit(b)
+                if g["c_in_g"] * g["kh"] * g["kw"] == 1:
+                    # einsum multiplies a one-term contraction and keeps a
+                    # zero product's sign; matmul adds it to +0.
+                    signs_differ &= b != 0
+                assert not signs_differ.any(), (what, g)
+
+    def test_outside_scope_matches_bruteforce(self):
+        rng = np.random.default_rng(12)
+
+        def square(g):
+            return g["stride"][0] == g["stride"][1] and g["padding"][0] == g["padding"][1]
+
+        for g in sweep_geometries(8, 60, lambda g: square(g) and not bit_exact_scope(g)):
+            x, w, dout = random_operands(g, rng)
+            s, p, groups = g["stride"][0], g["padding"][0], g["groups"]
+            out = conv2d(x, w, None, s, p, groups)
+            dx, dw, _ = conv2d_backward(x, w, dout, s, p, groups)
+            want_dw = np.zeros_like(w)
+            for i in range(g["n"]):
+                assert np.abs(out[i] - conv_bruteforce(x[i], w, None, s, p, groups)).max() <= 1e-12
+                want_dx, dw_i = conv_backward_bruteforce(x[i], w, dout[i], s, p, groups)
+                assert np.abs(dx[i] - want_dx).max() <= 1e-12
+                want_dw += dw_i
+            assert np.abs(dw - want_dw).max() <= 1e-12
 
 
 class TestAdaptivePool:

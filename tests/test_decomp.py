@@ -12,7 +12,7 @@ from hyperadapt.decomp import (
     tucker1_decompose,
     tucker1_reconstruct,
 )
-from hyperadapt.errors import ShapeError
+from hyperadapt.errors import ShapeError, UsageError
 from hyperadapt.filteradapt import FilterBank
 from hyperadapt.tensor import frobenius_norm, outer3, unfold
 
@@ -92,6 +92,11 @@ class TestCpDecompose:
     def test_rank_zero_rejected(self):
         with pytest.raises(ShapeError):
             cp_decompose(np.ones((3, 3, 3)), 0)
+
+    @pytest.mark.parametrize("options", [{"restarts": -1}, {"max_iters": 0}])
+    def test_bad_options_rejected(self, options):
+        with pytest.raises(UsageError):
+            CpOptions(**options)
 
 
 class TestCpReconstruct:
