@@ -2,11 +2,13 @@
 
 Every command is deterministic given its flags. Exit codes: 0 success,
 1 I/O problems (missing or malformed files), 2 usage problems (bad flags or
-config), 3 numerical failures (non-finite loss, failed gradient check).
-Output files are written atomically.
+config), 3 numerical failures (non-finite training or test loss, failed
+gradient check). Output files are written atomically.
 
 Run configurations are plain ``key = value`` files; ``#`` starts a comment.
-See :data:`RunConfig` for the keys and their defaults.
+Each :class:`RunConfig` field states its key's type, default and rule, and
+every key is checked when the file is read, so a bad value exits 2 with a
+message naming the key. Bounded flags are checked by the same rules.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from ._io import atomic_write_bytes, atomic_write_text
+from ._settings import SEED, check_settings, setting, violation
 from .data import (
     apply_stats,
     load_tiles,
@@ -64,56 +68,65 @@ METHODS = ("cp", "tucker", "reduce", "scratch")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Training-run configuration; defaults mirror the standard protocol."""
+    """Training-run configuration; defaults mirror the standard protocol.
 
-    method: str = "cp"
-    rank: int = 2
-    init: str = "interp"
-    hidden: int = 0          # reduce baseline width; 0 = match decomposed trainables
-    pool: int = 1
-    stride: int = 1
-    padding: int = 0
-    lr0: float = 0.01
-    gamma: float = 0.95
-    batch: int = 128
-    epochs: int = 100
-    seed: int = 0
-    restarts: int = 4
-    tol: float = 1e-9
-    max_iters: int = 500
+    Each field states its rule beside its default and every float must be
+    finite; a value that breaks a rule raises UsageError naming the key. The
+    training and ALS keys take their defaults and rules from TrainConfig and
+    CpOptions, built by :meth:`train_config` and :meth:`cp_options`.
+    """
+
+    method: str = setting("cp", ("in", METHODS))
+    rank: int = setting(2, (">=", 1))
+    init: str = setting("interp", ("in", INIT_POLICIES))
+    hidden: int = setting(0, (">=", 0))    # reduce baseline width; 0 = match decomposed trainables
+    pool: int = setting(1, (">=", 1))
+    stride: int = setting(1, (">=", 1))
+    padding: int = setting(0, (">=", 0))
+    lr0: float = TrainConfig.lr0
+    gamma: float = TrainConfig.gamma
+    batch: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    seed: int = TrainConfig.seed
+    restarts: int = CpOptions.restarts
+    tol: float = CpOptions.tol
+    max_iters: int = CpOptions.max_iters
     train_tiles: str = ""    # TLS1 path; empty = synthesize
     test_tiles: str = ""
-    synth_channels: int = 64
-    synth_classes: int = 4
-    synth_samples: int = 200
-    synth_tile: int = 16
-    synth_noise: float = 0.1
-    synth_seed: int = 0
+    synth_channels: int = setting(64, (">=", 1))
+    synth_classes: int = setting(4, (">=", 2))
+    synth_samples: int = setting(200, (">=", 1))
+    synth_tile: int = setting(16, (">=", 1))
+    synth_noise: float = setting(0.1, (">=", 0))
+    synth_seed: int = setting(0, SEED)
     bank: str = ""           # TNS1 path for the RGB bank; empty = synthesize
     bank_bias: str = ""
-    bank_filters: int = 8
-    bank_kernel: int = 5
-    bank_seed: int = 0
+    bank_filters: int = setting(8, (">=", 1))
+    bank_kernel: int = setting(5, (">=", 1))
+    bank_seed: int = setting(0, SEED)
     out_model: str = "model.mdl1"
     out_log: str = "train_log.csv"
 
+    def __post_init__(self):
+        check_settings(self)
+        if bool(self.train_tiles) != bool(self.test_tiles):
+            raise UsageError("train_tiles and test_tiles must be given together")
+        # TrainConfig and CpOptions check the keys they own.
+        self.train_config()
+        self.cp_options()
 
-_CONVERTERS = {
-    "method": str, "rank": int, "init": str, "hidden": int, "pool": int,
-    "stride": int, "padding": int,
-    "lr0": float, "gamma": float, "batch": int, "epochs": int, "seed": int,
-    "restarts": int, "tol": float, "max_iters": int,
-    "train_tiles": str, "test_tiles": str,
-    "synth_channels": int, "synth_classes": int, "synth_samples": int,
-    "synth_tile": int, "synth_noise": float, "synth_seed": int,
-    "bank": str, "bank_bias": str, "bank_filters": int, "bank_kernel": int,
-    "bank_seed": int,
-    "out_model": str, "out_log": str,
-}
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(lr0=self.lr0, gamma=self.gamma, batch_size=self.batch,
+                           epochs=self.epochs, seed=self.seed)
+
+    def cp_options(self) -> CpOptions:
+        return CpOptions(tol=self.tol, max_iters=self.max_iters,
+                         restarts=self.restarts, seed=self.seed)
 
 
 def parse_config(path: str) -> RunConfig:
-    """Parse a key=value config file into a validated RunConfig."""
+    """Parse a key=value config file into a RunConfig, which checks every value."""
+    types = get_type_hints(RunConfig)
     values = {}
     with open(path) as f:
         for ln, raw in enumerate(f, 1):
@@ -125,36 +138,13 @@ def parse_config(path: str) -> RunConfig:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in _CONVERTERS:
+            if key not in types:
                 raise UsageError(f"{path}:{ln}: unknown key {key!r}")
             try:
-                values[key] = _CONVERTERS[key](val)
+                values[key] = types[key](val)
             except ValueError:
                 raise UsageError(f"{path}:{ln}: bad value {val!r} for {key}") from None
-    cfg = RunConfig(**values)
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.method not in METHODS:
-        raise UsageError(f"method must be one of {METHODS}, got {cfg.method!r}")
-    if cfg.init not in INIT_POLICIES:
-        raise UsageError(f"init must be one of {INIT_POLICIES}, got {cfg.init!r}")
-    if cfg.rank < 1:
-        raise UsageError("rank must be >= 1")
-    if cfg.pool < 1:
-        raise UsageError("pool target must be >= 1")
-    if cfg.stride < 1 or cfg.padding < 0:
-        raise UsageError("need stride >= 1 and padding >= 0")
-    if cfg.restarts < 0 or cfg.max_iters < 1:
-        raise UsageError("need restarts >= 0 and max_iters >= 1")
-    if cfg.lr0 <= 0 or not 0 < cfg.gamma <= 1:
-        raise UsageError("need lr0 > 0 and 0 < gamma <= 1")
-    if cfg.batch < 1 or cfg.epochs < 0:
-        raise UsageError("need batch >= 1 and epochs >= 0")
-    if bool(cfg.train_tiles) != bool(cfg.test_tiles):
-        raise UsageError("train_tiles and test_tiles must be given together")
+    return RunConfig(**values)
 
 
 def _load_task(cfg: RunConfig):
@@ -181,9 +171,7 @@ def _load_bank(cfg: RunConfig) -> FilterBank:
 
 def _build_first_layer(cfg: RunConfig, bank: FilterBank, channels: int):
     if cfg.method in (CP, TUCKER):
-        opts = CpOptions(tol=cfg.tol, max_iters=cfg.max_iters,
-                         restarts=cfg.restarts, seed=cfg.seed)
-        decomps, _ = decompose_bank(bank, cfg.method, cfg.rank, opts)
+        decomps, _ = decompose_bank(bank, cfg.method, cfg.rank, cfg.cp_options())
         layer = adapt(decomps, channels, init=cfg.init, seed=cfg.seed, bias=bank.bias)
         return first_layer_from_adapted(layer, stride=cfg.stride, padding=cfg.padding)
     if cfg.method == "reduce":
@@ -217,10 +205,8 @@ def _run_training(cfg: RunConfig, run):
     train_ts, test_ts, bank, classes = run
     first = _build_first_layer(cfg, bank, train_ts.channels)
     model = build_model(first, classes, pool=(cfg.pool, cfg.pool), seed=cfg.seed)
-    tc = TrainConfig(lr0=cfg.lr0, gamma=cfg.gamma, batch_size=cfg.batch,
-                     epochs=cfg.epochs, seed=cfg.seed)
     rows = train(model, train_ts.tiles, train_ts.labels,
-                 test_ts.tiles, test_ts.labels, tc)
+                 test_ts.tiles, test_ts.labels, cfg.train_config())
     return model, rows
 
 
@@ -258,7 +244,6 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.epochs is not None:
         cfg = replace(cfg, epochs=args.epochs)
-    _validate_config(cfg)
     model, rows = _run_training(cfg, _load_run(cfg))
     write_log_csv(rows, cfg.out_log)
     save_model(model, cfg.out_model, meta={
@@ -288,15 +273,12 @@ def cmd_rank_sweep(args) -> int:
             r = int(part)
         except ValueError:
             raise UsageError(f"bad rank {part!r}") from None
-        if r < 1:
-            raise UsageError("ranks must be >= 1")
+        replace(cfg, rank=r)  # RunConfig checks the rank
         if r in ranks:
             raise UsageError(f"duplicate rank {r}")
         ranks.append(r)
     if not ranks:
         raise UsageError("no ranks given")
-    if args.seeds < 1:
-        raise UsageError("need at least one seed")
 
     run = _load_run(cfg)
     results = []
@@ -374,7 +356,7 @@ def cmd_gradcheck(args) -> int:
         seed = cfg.seed
     else:
         methods = list(METHODS)
-        seed = args.seed or 0
+        seed = args.seed
     failed = False
     for method in methods:
         model, batch, labels = _micro_model(method, seed)
@@ -393,11 +375,18 @@ def cmd_gradcheck(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _flag(kind, *rules):
+    """argparse type for a bounded flag: a ``kind`` value that obeys ``rules``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        problem = violation(value, rules)
+        if problem:
+            raise argparse.ArgumentTypeError(problem)
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,33 +401,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", required=True, help="TNS1 file with (C_out, 3, k1, k2) weights")
     p.add_argument("--bias", default="", help="optional TNS1 file with (C_out,) bias")
     p.add_argument("--kind", choices=(CP, TUCKER), required=True)
-    p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iters", type=_positive_int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rank", type=_flag(int, (">=", 1)), required=True)
+    hints = get_type_hints(CpOptions)
+    for f in fields(CpOptions):  # --tol, --max-iters, --restarts, --seed
+        p.add_argument(f"--{f.name.replace('_', '-')}", default=f.default,
+                       type=_flag(hints[f.name], *f.metadata["rules"]))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("adapt", help="widen spectral components (DCP1 -> ADP1)")
     p.add_argument("--decomp", required=True)
-    p.add_argument("--channels", type=_positive_int, required=True)
+    p.add_argument("--channels", type=_flag(int, (">=", 1)), required=True)
     p.add_argument("--init", choices=INIT_POLICIES, default="interp")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_flag(int, SEED), default=0)
     p.add_argument("--bias", default="", help="optional TNS1 file with (C_out,) bias")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("train", help="train per a config file (-> MDL1 + CSV log)")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_flag(int, SEED), default=None,
+                   help="override the config seed")
     p.add_argument("--epochs", type=int, default=None, help="override the config epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rank-sweep", help="train across ranks and seeds (-> CSV)")
     p.add_argument("--config", required=True)
     p.add_argument("--ranks", required=True, help="comma-separated, e.g. 1,2,3")
-    p.add_argument("--seeds", type=int, default=3, help="repetitions per rank")
+    p.add_argument("--seeds", type=_flag(int, (">=", 1)), default=3, help="repetitions per rank")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rank_sweep)
 
@@ -449,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     p.add_argument("--config", default="", help="check only this config's method")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--seed", type=_flag(int, SEED), default=0)
+    p.add_argument("--eps", type=_flag(float, (">", 0)), default=1e-5)
+    p.add_argument("--tol", type=_flag(float, (">=", 0)), default=1e-5)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import Writer, reading
-from .errors import FormatError, ShapeError, UsageError
+from ._settings import SEED, check_settings, setting
+from .errors import FormatError, ShapeError
 from .linalg import lstsq_gram, svd
 from .tensor import as_tensor, frobenius_norm, khatri_rao, mode_product, unfold
 
@@ -56,17 +57,15 @@ _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 class CpOptions:
     """Stopping and restart policy for the alternating least squares loop."""
 
-    tol: float = 1e-9       # stop when the relative error changes less than this per sweep
-    max_iters: int = 500
-    restarts: int = 4       # random restarts tried in addition to the deterministic init
-    seed: int = 0
+    # stop when the relative error changes less than this per sweep
+    tol: float = setting(1e-9, (">=", 0))
+    max_iters: int = setting(500, (">=", 1))
+    # random restarts tried in addition to the deterministic init
+    restarts: int = setting(4, (">=", 0))
+    seed: int = setting(0, SEED)
 
     def __post_init__(self):
-        if self.restarts < 0 or self.max_iters < 1:
-            raise UsageError(
-                f"need restarts >= 0 and max_iters >= 1, got restarts={self.restarts}, "
-                f"max_iters={self.max_iters}"
-            )
+        check_settings(self)
 
 
 @dataclass

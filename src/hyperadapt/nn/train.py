@@ -4,8 +4,9 @@ One epoch: seeded shuffle, cross-entropy forward/backward per batch, one
 Adam step per batch at lr0 * gamma**epoch, then a full evaluation pass on
 the held-out tiles. Every epoch appends a log row (epoch, lr, train_loss,
 test_loss, test_accuracy); the CSV writer emits them with a header so loss
-curves can be re-plotted directly. No weight decay, early stopping or
-augmentation. Everything is deterministic given (seed, config, data).
+curves can be re-plotted directly. A non-finite training or test loss
+raises NumericalError. No weight decay, early stopping or augmentation.
+Everything is deterministic given (seed, config, data).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._io import atomic_write_text
+from .._settings import SEED, check_settings, setting
 from ..errors import DataError, NumericalError
 from .model import Model, cross_entropy, forward_backward
 from .optim import Adam
@@ -26,19 +28,16 @@ LOG_HEADER = ("epoch", "lr", "train_loss", "test_loss", "test_accuracy")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr0: float = 0.01
-    gamma: float = 0.95
-    batch_size: int = 128
-    epochs: int = 100
-    seed: int = 0
+    """Schedule and batching of a run; a value that breaks its rule raises UsageError."""
+
+    lr0: float = setting(0.01, (">", 0))
+    gamma: float = setting(0.95, (">", 0), ("<=", 1))
+    batch_size: int = setting(128, (">=", 1))
+    epochs: int = setting(100, (">=", 0))
+    seed: int = setting(0, SEED)
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        check_settings(self)
 
 
 def evaluate(model: Model, tiles: np.ndarray, labels: np.ndarray, batch_size: int = 256):
@@ -85,6 +84,9 @@ def train(model: Model, train_tiles, train_labels, test_tiles, test_labels,
             opt.step(lr)
             epoch_loss += loss * len(idx)
         test_loss, test_acc = evaluate(model, test_tiles, test_labels)
+        # Non-finite weights reach the test loss, so this check covers them too.
+        if not np.isfinite(test_loss):
+            raise NumericalError(f"non-finite test loss at epoch {epoch}")
         rows.append((epoch, lr, epoch_loss / n, test_loss, test_acc))
     return rows
 

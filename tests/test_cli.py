@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
+import math
+import os
 
 import numpy as np
 import pytest
 
-from hyperadapt.cli import main, parse_config
+from hyperadapt.cli import RunConfig, main, parse_config
 from hyperadapt.data import TileSet, save_tiles, synth_filter_bank, synth_spectral_task
 from hyperadapt.decomp import load_decomps
 from hyperadapt.errors import UsageError
@@ -192,6 +195,19 @@ class TestTrainCmd:
         assert err.startswith("usage error:") and "Traceback" not in err
         assert not (tmp_path / "model.mdl1").exists()
 
+    def test_non_finite_test_loss_is_numerical_failure(self, tmp_path, capsys):
+        # One batch per epoch, so only the test loss sees the exploded weights.
+        cfg = write_config(tmp_path, lr0=1e308, batch=128, epochs=1)
+        assert main(["train", "--config", cfg]) == 3
+        assert "numerical failure: non-finite test loss" in capsys.readouterr().err
+        assert not (tmp_path / "log.csv").exists()
+        assert not (tmp_path / "model.mdl1").exists()
+
+    def test_bad_epochs_override_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", cfg, "--epochs", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: epochs must be >= 0")
+
     def test_bad_method_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, method="pca")
         assert main(["train", "--config", cfg]) == 2
@@ -349,6 +365,26 @@ class TestGradcheckCmd:
             assert block in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--bank", "b.tns", "--kind", "cp", "--rank", "1", "--out", "d.dcp",
+     "--seed", "-1"],
+    ["decompose", "--bank", "b.tns", "--kind", "cp", "--rank", "1", "--out", "d.dcp",
+     "--tol", "nan"],
+    ["adapt", "--decomp", "d.dcp", "--channels", "8", "--out", "a.adp", "--seed", "-1"],
+    ["train", "--config", "run.cfg", "--seed", "-1"],
+    ["rank-sweep", "--config", "run.cfg", "--ranks", "1", "--out", "s.csv", "--seeds", "0"],
+    ["gradcheck", "--seed", "-1"],
+    ["gradcheck", "--eps", "0"],
+    ["gradcheck", "--eps", "nan"],
+    ["gradcheck", "--tol", "-1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_bad_flag_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}: must be" in err
+    assert "Traceback" not in err
+
+
 class TestConfigParsing:
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -368,3 +404,34 @@ class TestConfigParsing:
         path.write_text("train_tiles = x.tls\n")
         with pytest.raises(UsageError):
             parse_config(str(path))
+
+
+# Config values that reached the library and failed late (exit 1), crashed in
+# numpy, or trained to a nan log; each must now be a usage error.
+MUST_BE_USAGE_ERRORS = {
+    ("bank_kernel", "0"), ("bank_filters", "0"), ("synth_channels", "0"),
+    ("synth_classes", "0"), ("synth_samples", "0"), ("synth_tile", "0"),
+    ("seed", "-1"), ("synth_seed", "-1"), ("bank_seed", "-1"),
+    ("tol", "nan"), ("synth_noise", "-1"), ("hidden", "-1"),
+    ("lr0", "nan"), ("lr0", "inf"),
+}
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "x"])
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)])
+def test_every_config_key_ends_in_a_named_outcome(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.chdir(tmp_path)  # relative output paths such as "x" land in the temp dir
+    cfg = write_config(tmp_path, **{"epochs": 1, key: value})
+    rc = main(["train", "--config", cfg])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if (key, value) in MUST_BE_USAGE_ERRORS:
+        assert rc == 2, err
+    if rc:
+        assert err.startswith(("error:", "usage error:", "numerical failure:")), err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+    else:
+        rows = (tmp_path / parse_config(cfg).out_log).read_text().splitlines()[1:]
+        losses = [float(v) for row in rows for v in row.split(",")[2:4]]
+        assert all(math.isfinite(v) for v in losses)

@@ -98,6 +98,13 @@ class TestCpDecompose:
         with pytest.raises(UsageError):
             CpOptions(**options)
 
+    @pytest.mark.parametrize("options", [
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1.0}, {"seed": -1},
+    ])
+    def test_bad_tol_and_seed_rejected(self, options):
+        with pytest.raises(UsageError, match=next(iter(options))):
+            CpOptions(**options)
+
 
 class TestCpReconstruct:
     def test_single_rank_one_term(self):

@@ -5,7 +5,7 @@ import pytest
 
 from hyperadapt.data import synth_filter_bank, synth_spectral_task
 from hyperadapt.decomp import decompose_bank
-from hyperadapt.errors import DataError, FormatError, NumericalError, ShapeError
+from hyperadapt.errors import DataError, FormatError, NumericalError, ShapeError, UsageError
 from hyperadapt.filteradapt import AdaptedLayer, adapt, decompress
 from hyperadapt.nn import (
     Adam,
@@ -366,6 +366,13 @@ class TestTraining:
         with pytest.raises(NumericalError, match="epoch 0, batch 0"):
             train(model, train_ts.tiles, train_ts.labels,
                   test_ts.tiles, test_ts.labels, cfg)
+
+    @pytest.mark.parametrize("option", [
+        {"lr0": float("nan")}, {"lr0": float("inf")}, {"gamma": 1.5}, {"seed": -1},
+    ])
+    def test_bad_config_is_usage_error(self, option):
+        with pytest.raises(UsageError, match=next(iter(option))):
+            TrainConfig(**option)
 
     def test_log_csv_schema(self, tmp_path):
         path = tmp_path / "log.csv"
