@@ -111,6 +111,16 @@ class RunConfig:
         check_settings(self)
         if bool(self.train_tiles) != bool(self.test_tiles):
             raise UsageError("train_tiles and test_tiles must be given together")
+        if not self.train_tiles:  # synthetic tiles
+            if self.synth_channels < self.synth_classes:
+                raise UsageError(
+                    f"synth_channels ({self.synth_channels}) must be >= synth_classes "
+                    f"({self.synth_classes}): each class needs a channel of its own")
+            if not self.bank and self.synth_tile + 2 * self.padding < self.bank_kernel:
+                raise UsageError(
+                    f"synth_tile + 2 * padding ({self.synth_tile + 2 * self.padding}) must "
+                    f"be >= bank_kernel ({self.bank_kernel}), or the first layer's output "
+                    f"is empty")
         # TrainConfig and CpOptions check the keys they own.
         self.train_config()
         self.cp_options()
@@ -454,7 +464,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # A diverging run ends in NumericalError; numpy's overflow warnings on
+        # the way there would only bury that line.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

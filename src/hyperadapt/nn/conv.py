@@ -6,21 +6,45 @@ out (out_channels, in_channels // groups, kh, kw); activations are
 (N, C, H, W), with single-image (C, H, W) inputs accepted and returned
 everywhere. All float64, all deterministic.
 
-Each convolution is one ``matmul`` against a patch matrix (im2col; Chetlur
-et al. 2014). ``_cols`` copies the sliding-window view of the input once
-into a C-ordered (G, C/G*kh*kw, N*Ho*Wo) matrix, and the weights, reshaped
-to (G, O/G, C/G*kh*kw), go on the left. ``dw`` multiplies the same patch
-matrix by the output gradient laid out (G, N*Ho*Wo, O/G), and ``dx`` adds
-one (G, C/G, O/G) x (G, O/G, N*Ho*Wo) product per kernel tap into a padded
-buffer. These are the operands that numpy 2.4's Einstein summation, which
-these kernels used before, handed to BLAS for the same contractions. So for
+Each convolution is a ``matmul`` against a patch matrix (im2col; Chetlur et
+al. 2014). ``_cols`` copies a sliding-window view of the input into a
+C-ordered (G, C/G*kh*kw, N*Ho*Wo) matrix, and the weights, reshaped to
+(G, O/G, C/G*kh*kw), go on the left. ``dw`` multiplies the same patch matrix
+by the output gradient laid out (G, N*Ho*Wo, O/G), and ``dx`` adds one
+(G, C/G, O/G) x (G, O/G, N*Ho*Wo) product per kernel tap into a padded
+buffer; with one output per group that product is a broadcast multiply.
+These are the operands that numpy 2.4's Einstein summation, which these
+kernels used before, handed to BLAS for the same contractions. So for
 batches of two or more, at least two input channels and outputs larger than
 1x1 the results keep its bits, without the extra copies it made for size-1
 axes (1x1 kernels, depthwise, one output per group). At padding 0 the window
 view reads the input itself, with no padded copy.
+
+A dense call (one group, two or more outputs) builds its patch matrix in
+slices of about ``_SLICE_BYTES``, each consumed by its ``matmul`` while it is
+still in cache: the forward slices whole images (the GEMM's columns), ``dw``
+slices input channels (its rows). No slice splits the contraction, and each
+slice's ``matmul`` writes its block of the output in place, so every output
+element is the same BLAS dot product as in the unsliced call. Three things
+would still change bits, and the slicing avoids each. A GEMM one row or
+column wide, like any call with one output per group, goes down matmul's
+gemv path; OpenBLAS's kernels round a matrix edge that is not a whole tile
+differently; and small GEMMs get OpenBLAS's small-matrix kernels. So grouped
+calls stay whole (in this library they all have one output per group),
+every slice edge but the last falls on a multiple of 16 forward columns or
+2 ``dw`` rows (the tile of OpenBLAS's AVX-512 kernels), and balanced slices
+hold about half the budget or more each. This was checked at 1, 2 and 4
+OpenBLAS threads on its AVX-512 kernels, and at 1 thread on its AVX2 kernels
+(Haswell, AMD Zen 2 and 3). With more threads the AVX2 kernels round a row
+of ``dw`` differently where a thread's share of the rows leaves one row
+over, so there even an unsliced ``matmul``'s bits depend on the thread
+count, and a sliced ``dw`` can differ from the unsliced one in the last bit.
+No slice alignment avoids that: the shares follow the whole GEMM's size.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -83,20 +107,45 @@ def _output_size(x4, w, stride, padding, groups) -> tuple[int, int]:
     return ho, wo
 
 
-def _windows(x4, w, stride, padding):
-    """(N, C, Ho, Wo, kh, kw) view of the padded input's receptive fields."""
+# Bytes of patch matrix per slice. A slice is copied and consumed by its
+# matmul while it is still in cache, where a whole matrix (236-605 MB for a
+# 128-tile dense call) streams through memory twice. On a 2-core Xeon (2 MiB
+# L2 per core), the 5x5 forward and dw of 128 tiles of 64 or 103 bands took
+# the same time for slices of 2 to 16 MiB, half that of whole matrices; at
+# 32 MiB the 103-band dw lost most of the gain, at 64 MiB both did. The
+# largest value on the flat part keeps the GEMMs fewest and largest.
+_SLICE_BYTES = 16 << 20
+
+
+def _slices(units, width, align, nbytes, sliceable):
+    """Balanced (start, stop) ranges over ``units``, each unit ``width`` GEMM rows or columns.
+
+    A sliceable patch matrix of ``nbytes`` is split into ceil(nbytes /
+    _SLICE_BYTES) slices. Every edge but the last falls on a multiple of
+    ``align`` rows or columns, so no slice is narrower than that.
+    """
+    step = align // math.gcd(width, align)
+    blocks = units // step
+    count = -(-nbytes // _SLICE_BYTES) if sliceable else 1
+    count = max(1, min(count, blocks))
+    edges = [step * (blocks * i // count) for i in range(count)] + [units]
+    return zip(edges[:-1], edges[1:])
+
+
+def _windows(x4, w, stride, padding, groups):
+    """(N, G, C/G, Ho, Wo, kh, kw) view of the padded input's receptive fields."""
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     if ph or pw:
         x4 = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    return sliding_window_view(x4, w.shape[2:], axis=(2, 3))[:, :, ::sh, ::sw]
+    win = sliding_window_view(x4, w.shape[2:], axis=(2, 3))[:, :, ::sh, ::sw]
+    n, c = win.shape[:2]
+    return win.reshape(n, groups, c // groups, *win.shape[2:])
 
 
-def _cols(x4, w, stride, padding, groups):
-    """The patch matrix (G, C/G*kh*kw, N*Ho*Wo), copied once into C order."""
-    win = _windows(x4, w, stride, padding)
-    n, c, ho, wo, kh, kw = win.shape
-    win = win.reshape(n, groups, c // groups, ho, wo, kh, kw)
+def _cols(win):
+    """The patch matrix (G, C/G*kh*kw, N*Ho*Wo) of a window view, copied once into C order."""
+    n, groups, _, ho, wo, _, _ = win.shape
     return np.ascontiguousarray(win.transpose(1, 2, 5, 6, 0, 3, 4)).reshape(
         groups, -1, n * ho * wo)
 
@@ -108,8 +157,12 @@ def conv2d(x, w, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     ho, wo = _output_size(x4, w, stride, padding, groups)
     n = x4.shape[0]
     c_out = w.shape[0]
-    out = np.matmul(w.reshape(groups, c_out // groups, -1),
-                    _cols(x4, w, stride, padding, groups))
+    o_g = c_out // groups
+    w_g = w.reshape(groups, o_g, -1)
+    win = _windows(x4, w, stride, padding, groups)
+    out = np.empty((groups, o_g, n * ho * wo))
+    for a, b in _slices(n, ho * wo, 16, win.nbytes, groups == 1 and c_out > 1):
+        np.matmul(w_g, _cols(win[a:b]), out=out[:, :, a * ho * wo:b * ho * wo])
     out = out.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float64)[:, None, None]
@@ -138,7 +191,10 @@ def conv2d_backward(x, w, dout, stride=1, padding=0, groups=1,
     dw = None
     if need_dw:
         dout_t = np.ascontiguousarray(d5.transpose(0, 2, 3, 4, 1)).reshape(groups, -1, o_g)
-        dw = np.matmul(_cols(x4, w, stride, padding, groups), dout_t)
+        win = _windows(x4, w, stride, padding, groups)
+        dw = np.empty((groups, c_in_g * kh * kw, o_g))
+        for a, b in _slices(c_in_g, kh * kw, 2, win.nbytes, groups == 1 and c_out > 1):
+            np.matmul(_cols(win[:, :, a:b]), dout_t, out=dw[:, a * kh * kw:b * kh * kw])
         dw = dw.reshape(groups, c_in_g, kh, kw, o_g).transpose(0, 4, 1, 2, 3).reshape(w.shape)
 
     db = d4.sum(axis=(0, 2, 3)) if need_db else None
@@ -149,10 +205,13 @@ def conv2d_backward(x, w, dout, stride=1, padding=0, groups=1,
         # (kh, kw, G, C/G, O/G): each tap's transposed weights, contiguous.
         w_t = np.ascontiguousarray(
             w.reshape(groups, o_g, c_in_g, kh, kw).transpose(3, 4, 0, 2, 1))
+        # With one output per group each tap's contraction has one term, a
+        # broadcast product; matmul would loop over it element by element.
+        product = np.multiply if o_g == 1 else np.matmul
         dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
         for u in range(kh):
             for v in range(kw):
-                contrib = np.matmul(w_t[u, v], dout_t).reshape(c, n, ho, wo)
+                contrib = product(w_t[u, v], dout_t).reshape(c, n, ho, wo)
                 dxp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += contrib.transpose(1, 0, 2, 3)
         dx = dxp[:, :, ph:ph + h, pw:pw + wd]
         if squeeze:

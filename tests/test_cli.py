@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,33 @@ class TestTrainCmd:
         assert not (tmp_path / "log.csv").exists()
         assert not (tmp_path / "model.mdl1").exists()
 
+    def test_diverging_run_prints_no_numpy_warnings(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, lr0=1e308, batch=128, epochs=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_fewer_channels_than_classes_is_usage_error(self, tmp_path, capsys):
+        # The synthetic task gives each class a channel of its own.
+        cfg = write_config(tmp_path, synth_channels=2, synth_classes=3)
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: synth_channels (2) must be >= synth_classes (3)")
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_tile_smaller_than_kernel_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, synth_tile=2, bank_kernel=3)
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: synth_tile + 2 * padding (2) must be >= bank_kernel (3)")
+        assert os.listdir(tmp_path) == ["run.cfg"]
+        # One pixel of padding on each side makes room for the kernel.
+        cfg = write_config(tmp_path, synth_tile=2, bank_kernel=3, padding=1, epochs=1)
+        assert main(["train", "--config", cfg]) == 0
+
     def test_bad_epochs_override_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", cfg, "--epochs", "-1"]) == 2
@@ -259,6 +287,7 @@ class TestRankSweepCmd:
                             train_tiles=tmp_path / "train.tls", test_tiles=tmp_path / "test.tls",
                             bank=wpath, bank_bias=bpath)
 
+    @pytest.mark.recorded_blas
     def test_sweep_csv_is_pinned(self, tmp_path, bank_files):
         cfg = self._tile_config(tmp_path, bank_files)
         out = tmp_path / "sweep.csv"

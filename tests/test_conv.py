@@ -1,8 +1,12 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hyperadapt.errors import ShapeError
+from hyperadapt.nn import conv
 from hyperadapt.nn.conv import (
     _batched,
     _output_size,
@@ -334,6 +338,93 @@ class TestAgainstEinsumKernels:
                 assert np.abs(dx[i] - want_dx).max() <= 1e-12
                 want_dw += dw_i
             assert np.abs(dw - want_dw).max() <= 1e-12
+
+
+def record_slices(monkeypatch):
+    """Record each conv call's patch-matrix slices as (start, stop) ranges."""
+    calls = []
+
+    def recording(*args):
+        ranges = list(real(*args))
+        calls.append(ranges)
+        return ranges
+
+    real = conv._slices
+    monkeypatch.setattr(conv, "_slices", recording)
+    return calls
+
+
+class TestSlicing:
+    @pytest.mark.recorded_blas
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+        ((41, 103, 16, 16), (8, 103, 5, 5), 1, 0),
+        ((80, 64, 16, 16), (16, 64, 3, 3), 2, 1),
+        ((150, 103, 16, 16), (16, 103, 1, 1), 1, 0),
+    ])
+    def test_bits_match_one_slice(self, monkeypatch, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
+        dout = rng.standard_normal(conv2d(x, w, None, stride, padding).shape)
+        calls = record_slices(monkeypatch)
+        sliced = [conv2d(x, w, None, stride, padding),
+                  *conv2d_backward(x, w, dout, stride, padding, need_db=True)]
+        assert [len(ranges) > 1 for ranges in calls] == [True, True]  # forward, dw
+        monkeypatch.setattr(conv, "_SLICE_BYTES", sys.maxsize)
+        calls.clear()
+        whole = [conv2d(x, w, None, stride, padding),
+                 *conv2d_backward(x, w, dout, stride, padding, need_db=True)]
+        assert [len(ranges) for ranges in calls] == [1, 1]
+        for what, a, b in zip(("forward", "dx", "dw", "db"), sliced, whole):
+            assert np.array_equal(a, b), what
+            assert not (np.signbit(a) != np.signbit(b)).any(), what
+
+    @pytest.mark.parametrize("n,c,h,wd,c_out,kh,kw,stride,padding", [
+        (5, 5, 4, 6, 2, 3, 3, 1, 0),     # 2x4 outputs, 3x3 taps: pairs of images and channels
+        (7, 4, 4, 4, 3, 1, 1, 1, 0),     # pointwise, 4x4 outputs: single images
+        (1, 3, 7, 5, 4, 3, 2, 2, 1),     # 3x2 taps: single channels; stride and padding
+        (2, 5, 9, 9, 3, 5, 5, 2, 2),     # 5x5 taps: pairs of channels, the last slice three
+    ])
+    def test_tiny_budget_matches_bruteforce(self, monkeypatch, n, c, h, wd, c_out, kh, kw,
+                                            stride, padding):
+        monkeypatch.setattr(conv, "_SLICE_BYTES", 1024)
+        calls = record_slices(monkeypatch)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((n, c, h, wd))
+        w = rng.standard_normal((c_out, c, kh, kw))
+        out = conv2d(x, w, None, stride, padding)
+        dout = rng.standard_normal(out.shape)
+        dx, dw, _ = conv2d_backward(x, w, dout, stride, padding)
+        # The forward or dw is cut into slices of unequal size.
+        assert any(len({b - a for a, b in ranges}) > 1 for ranges in calls)
+        want_dw = np.zeros_like(w)
+        for i in range(n):
+            assert np.abs(out[i] - conv_bruteforce(x[i], w, None, stride, padding)).max() <= 1e-12
+            want_dx, dw_i = conv_backward_bruteforce(x[i], w, dout[i], stride, padding)
+            assert np.abs(dx[i] - want_dx).max() <= 1e-12
+            want_dw += dw_i
+        assert np.abs(dw - want_dw).max() <= 1e-12
+
+    def test_peak_memory_is_bounded(self):
+        # Whole patch matrices were 369 MB for this forward and 380 MB for this dw.
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((200, 64, 16, 16))
+        w = rng.standard_normal((8, 64, 5, 5))
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            x = rng.standard_normal((128, 103, 16, 16))
+            w = rng.standard_normal((8, 103, 5, 5))
+            dout = rng.standard_normal((128, 8, 12, 12))
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            conv2d_backward(x, w, dout, need_dx=False)
+            dw_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= 3 * conv._SLICE_BYTES + out.nbytes
+        assert dw_peak <= 3 * conv._SLICE_BYTES + dout.nbytes
 
 
 class TestAdaptivePool:
