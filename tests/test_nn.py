@@ -28,7 +28,9 @@ from hyperadapt.nn import (
     train,
     write_log_csv,
 )
-from hyperadapt.nn.gradcheck import gradient_check
+from hyperadapt.nn.conv import _batched
+from hyperadapt.nn.gradcheck import numeric_gradients
+from test_conv import conv_backward_bruteforce, conv_bruteforce
 
 
 def random_adapted(kind, c_out, channels, rank, k, seed, bias=True):
@@ -220,18 +222,34 @@ class TestAdam:
             assert np.array_equal(p.value, before[p.name])
 
 
+# Round-off of the central difference (hi - lo) / (2 eps), in ulps of the
+# loss. hi and lo each carry a few ulps from the sums behind them: the worst
+# analytic-numeric difference over the eight micro_model cases measured 4.0
+# ulps / (2 eps) on OpenBLAS's AVX-512 and AVX2 kernels alike. Eight leaves a
+# factor of two.
+FD_ULPS = 8
+
+
+def assert_finite_differences_agree(model, batch, labels, eps=1e-5):
+    """Every gradient entry within 1e-5 relative of its central difference,
+    or within the difference's round-off floor, FD_ULPS ulps of the loss over 2 eps."""
+    loss, _, grads = forward_backward(model, batch, labels)
+    floor = FD_ULPS * np.spacing(loss) / (2 * eps)
+    for name, numeric in numeric_gradients(model, batch, labels, eps).items():
+        analytic = grads[name]
+        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+        err = np.abs(analytic - numeric)
+        assert (err <= np.maximum(1e-5 * scale, floor)).all(), (name, (err / scale).max())
+
+
 class TestGradients:
     @pytest.mark.parametrize("method", ["cp", "tucker", "reduce", "scratch"])
     def test_finite_difference_agreement(self, method):
-        model, batch, labels = micro_model(method)
-        worst = gradient_check(model, batch, labels)
-        assert max(worst.values()) <= 1e-5
+        assert_finite_differences_agree(*micro_model(method))
 
     @pytest.mark.parametrize("method", ["cp", "tucker", "reduce", "scratch"])
     def test_strided_padded_finite_difference_agreement(self, method):
-        model, batch, labels = micro_model(method, stride=2, padding=1)
-        worst = gradient_check(model, batch, labels)
-        assert max(worst.values()) <= 1e-5
+        assert_finite_differences_agree(*micro_model(method, stride=2, padding=1))
 
     def test_sign_flip_hook_detected(self, monkeypatch):
         from hyperadapt.nn import gradcheck as gc
@@ -247,6 +265,9 @@ class TestGradients:
         monkeypatch.setattr(gc, "forward_backward", flipped)
         worst = gc.gradient_check(model, batch, labels)
         assert worst["first.spectral"] > 1e-2
+        monkeypatch.setitem(globals(), "forward_backward", flipped)
+        with pytest.raises(AssertionError, match="first.spectral"):
+            assert_finite_differences_agree(model, batch, labels)
 
 
 # SHA-256 over the logits and then each trainable gradient (name, then float64
@@ -263,6 +284,54 @@ PASS_DIGESTS = {
     ("scratch", 1, 0): "f5241c24d2b71f173e627300b9450dc443edfee2a7bfde1a7ec24b790d6e526b",
     ("scratch", 2, 1): "d6c17956f1c73a6158c3ee40645db90deddf3a711160b68b0e0cadd0f723f3f3",
 }
+
+
+def bruteforce_conv2d(x, w, bias=None, stride=1, padding=0, groups=1):
+    """conv2d from the per-image loop oracle."""
+    x4, squeeze = _batched(x)
+    out = np.stack([conv_bruteforce(xi, w, bias, stride, padding, groups) for xi in x4])
+    return out[0] if squeeze else out
+
+
+def bruteforce_conv2d_backward(x, w, dout, stride=1, padding=0, groups=1,
+                               need_dx=True, need_dw=True, need_db=False):
+    """conv2d_backward from the per-image loop oracle, summing dw over images."""
+    x4, squeeze = _batched(x)
+    d4, _ = _batched(dout)
+    per_image = [conv_backward_bruteforce(xi, w, di, stride, padding, groups)
+                 for xi, di in zip(x4, d4)]
+    dx = np.stack([dx_i for dx_i, _ in per_image])
+    dw = sum(dw_i for _, dw_i in per_image)
+    return ((dx[0] if squeeze else dx) if need_dx else None, dw if need_dw else None,
+            d4.sum(axis=(0, 2, 3)) if need_db else None)
+
+
+def logits_and_gradients(model, batch, labels):
+    logits = model.forward(batch)
+    _, _, grads = forward_backward(model, batch, labels)
+    return {"logits": logits, **grads}
+
+
+class TestExactGradients:
+    """Every conv of the model through the loop oracle, against the library kernels.
+
+    Unlike finite differences this check is exact up to summation order, so
+    it holds kernels to 1e-10 relative whatever order they sum in.
+    """
+
+    @pytest.mark.parametrize("method,stride,padding", sorted(PASS_DIGESTS))
+    def test_kernels_match_loop_oracle(self, monkeypatch, method, stride, padding):
+        from hyperadapt.nn import layers
+
+        model, batch, labels = micro_model(method, stride=stride, padding=padding)
+        got = logits_and_gradients(model, batch, labels)
+        monkeypatch.setattr(layers, "conv2d", bruteforce_conv2d)
+        monkeypatch.setattr(layers, "conv2d_backward", bruteforce_conv2d_backward)
+        want = logits_and_gradients(model, batch, labels)
+        assert got.keys() == want.keys()
+        for name in want:
+            scale = np.abs(want[name]).max()
+            assert np.abs(got[name] - want[name]).max() <= 1e-10 * scale, name
 
 
 class TestBitExactPass:
