@@ -46,6 +46,7 @@ from .nn import (
     build_model,
     build_reduce,
     build_scratch,
+    conv_output_size,
     count_trainable,
     first_layer_from_adapted,
     load_model,
@@ -207,6 +208,14 @@ def _load_run(cfg: RunConfig):
             f"labels must lie in [0, {labels.size}) for {labels.size} tiles, "
             f"got range [{labels.min()}, {labels.max()}]"
         )
+    # The model pools the first layer's output; the mid conv keeps its size.
+    (h, w), (kh, kw) = train_ts.tiles.shape[2:], bank.weights.shape[2:]
+    ho = conv_output_size(h, kh, cfg.stride, cfg.padding)
+    wo = conv_output_size(w, kw, cfg.stride, cfg.padding)
+    if 1 <= min(ho, wo) < cfg.pool:
+        raise UsageError(
+            f"pool ({cfg.pool}) must be <= the first layer's output size {ho}x{wo} "
+            f"({h}x{w} tiles, {kh}x{kw} kernel, stride {cfg.stride}, padding {cfg.padding})")
     return train_ts, test_ts, bank, classes
 
 

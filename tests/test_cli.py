@@ -231,6 +231,22 @@ class TestTrainCmd:
         cfg = write_config(tmp_path, synth_tile=2, bank_kernel=3, padding=1, epochs=1)
         assert main(["train", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("tiles", ["synthetic", "files"])
+    def test_pool_larger_than_first_output_is_usage_error(self, tmp_path, capsys, tiles):
+        # 10x10 tiles and a 3x3 kernel give an 8x8 first-layer output.
+        files = {}
+        if tiles == "files":
+            for ts in synth_spectral_task(12, 3, 16, seed=0, tile=10):
+                files[f"{ts.split}_tiles"] = tmp_path / f"{ts.split}.tls"
+                save_tiles(ts, str(files[f"{ts.split}_tiles"]))
+        cfg = write_config(tmp_path, pool=9, **files)
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: pool (9) must be <= the first layer's output size 8x8")
+        assert not (tmp_path / "model.mdl1").exists()
+        cfg = write_config(tmp_path, pool=8, epochs=1, **files)
+        assert main(["train", "--config", cfg]) == 0
+
     def test_bad_epochs_override_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", cfg, "--epochs", "-1"]) == 2

@@ -176,9 +176,16 @@ def sweep_geometries(seed, count, keep):
     return found
 
 
+def tap_stacked(g):
+    """The calls nn.conv runs tap-stacked: dense, stride 1, more than one tap,
+    fewer outputs than input channels."""
+    return (g["groups"] == 1 and g["stride"] == (1, 1) and g["kh"] * g["kw"] > 1
+            and g["c_out"] < g["c"])
+
+
 def bit_exact_scope(g):
     """Where the patch-matrix kernels give the einsum kernels' bits."""
-    return g["n"] >= 2 and g["c"] >= 2 and g["ho"] * g["wo"] > 1
+    return g["n"] >= 2 and g["c"] >= 2 and g["ho"] * g["wo"] > 1 and not tap_stacked(g)
 
 
 def random_operands(g, rng):
@@ -186,6 +193,19 @@ def random_operands(g, rng):
     w = rng.standard_normal((g["c_out"], g["c_in_g"], g["kh"], g["kw"]))
     dout = rng.standard_normal((g["n"], g["c_out"], g["ho"], g["wo"]))
     return x, w, dout
+
+
+def assert_matches_bruteforce(x, w, dout, stride=1, padding=0, groups=1):
+    """The forward, dx and dw within 1e-12 of the loop oracles, image by image."""
+    out = conv2d(x, w, None, stride, padding, groups)
+    dx, dw, _ = conv2d_backward(x, w, dout, stride, padding, groups)
+    want_dw = np.zeros_like(w)
+    for i in range(len(x)):
+        assert np.abs(out[i] - conv_bruteforce(x[i], w, None, stride, padding, groups)).max() <= 1e-12
+        want_dx, dw_i = conv_backward_bruteforce(x[i], w, dout[i], stride, padding, groups)
+        assert np.abs(dx[i] - want_dx).max() <= 1e-12
+        want_dw += dw_i
+    assert np.abs(dw - want_dw).max() <= 1e-12
 
 
 class TestConvForward:
@@ -325,17 +345,71 @@ class TestAgainstEinsumKernels:
     def test_outside_scope_matches_bruteforce(self):
         rng = np.random.default_rng(12)
         for g in sweep_geometries(8, 60, lambda g: not bit_exact_scope(g)):
-            x, w, dout = random_operands(g, rng)
-            s, p, groups = g["stride"], g["padding"], g["groups"]
-            out = conv2d(x, w, None, s, p, groups)
-            dx, dw, _ = conv2d_backward(x, w, dout, s, p, groups)
-            want_dw = np.zeros_like(w)
-            for i in range(g["n"]):
-                assert np.abs(out[i] - conv_bruteforce(x[i], w, None, s, p, groups)).max() <= 1e-12
-                want_dx, dw_i = conv_backward_bruteforce(x[i], w, dout[i], s, p, groups)
-                assert np.abs(dx[i] - want_dx).max() <= 1e-12
-                want_dw += dw_i
-            assert np.abs(dw - want_dw).max() <= 1e-12
+            assert_matches_bruteforce(*random_operands(g, rng), g["stride"], g["padding"],
+                                      g["groups"])
+
+
+def record_tap_stacked(monkeypatch):
+    """Record the tap-stacked forward and dw calls by name."""
+    calls = []
+    for name in ("_tap_stacked_forward", "_tap_stacked_dw"):
+        def recording(*args, name=name, real=getattr(conv, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(conv, name, recording)
+    return calls
+
+
+class TestTapStacked:
+    @pytest.mark.parametrize("budget", [None, 1024])
+    def test_sweep_matches_bruteforce(self, monkeypatch, budget):
+        if budget:  # every image a slice of its own
+            monkeypatch.setattr(conv, "_SLICE_BYTES", budget)
+        calls = record_tap_stacked(monkeypatch)
+        rng = np.random.default_rng(16)
+        for g in sweep_geometries(9, 60, tap_stacked):
+            calls.clear()
+            assert_matches_bruteforce(*random_operands(g, rng), 1, g["padding"])
+            assert calls == ["_tap_stacked_forward", "_tap_stacked_dw"], g
+
+    @pytest.mark.parametrize("n,c,h,wd,c_out,kh,kw,padding", [
+        (1, 5, 7, 6, 1, 3, 2, 0),         # one image, one output, 3x2 taps
+        (3, 6, 8, 5, 2, 2, 4, (1, 2)),    # 2x4 taps, unequal padding
+        (4, 4, 5, 5, 3, 5, 5, 2),         # 5x5 taps over a 5x5 input, padding 2
+    ])
+    def test_cases_match_bruteforce(self, monkeypatch, n, c, h, wd, c_out, kh, kw, padding):
+        calls = record_tap_stacked(monkeypatch)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((n, c, h, wd))
+        w = rng.standard_normal((c_out, c, kh, kw))
+        dout = rng.standard_normal(conv2d(x, w, None, 1, padding).shape)
+        assert_matches_bruteforce(x, w, dout, 1, padding)
+        assert calls == ["_tap_stacked_forward"] * 2 + ["_tap_stacked_dw"]
+
+    def test_single_image_matches_bruteforce(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((6, 9, 7))
+        w = rng.standard_normal((4, 6, 3, 3))
+        b = rng.standard_normal(4)
+        out = conv2d(x, w, b, padding=1)
+        assert np.abs(out - conv_bruteforce(x, w, b, 1, 1)).max() <= 1e-12
+        dout = rng.standard_normal(out.shape)
+        dx, dw, db = conv2d_backward(x, w, dout, padding=1, need_db=True)
+        want_dx, want_dw = conv_backward_bruteforce(x, w, dout, 1, 1)
+        assert np.abs(dx - want_dx).max() <= 1e-12
+        assert np.abs(dw - want_dw).max() <= 1e-12
+        assert np.allclose(db, dout.sum(axis=(1, 2)))
+
+    @pytest.mark.parametrize("c_out,c,stride,kernel", [
+        (8, 8, 1, 5), (4, 8, 2, 5), (4, 8, 1, 1),
+    ])
+    def test_other_calls_take_the_patch_matrix(self, monkeypatch, c_out, c, stride, kernel):
+        calls = record_tap_stacked(monkeypatch)
+        x = np.ones((2, c, 9, 9))
+        w = np.ones((c_out, c, kernel, kernel))
+        conv2d_backward(x, w, np.ones(conv2d(x, w, stride=stride).shape), stride=stride)
+        assert calls == []
 
 
 def record_slices(monkeypatch):
@@ -355,7 +429,7 @@ def record_slices(monkeypatch):
 class TestSlicing:
     @pytest.mark.recorded_blas
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
-        ((41, 103, 16, 16), (8, 103, 5, 5), 1, 0),
+        ((204, 8, 12, 12), (16, 8, 3, 3), 1, 1),
         ((80, 64, 16, 16), (16, 64, 3, 3), 2, 1),
         ((150, 103, 16, 16), (16, 103, 1, 1), 1, 0),
     ])
@@ -378,7 +452,7 @@ class TestSlicing:
             assert not (np.signbit(a) != np.signbit(b)).any(), what
 
     @pytest.mark.parametrize("n,c,h,wd,c_out,kh,kw,stride,padding", [
-        (5, 5, 4, 6, 2, 3, 3, 1, 0),     # 2x4 outputs, 3x3 taps: pairs of images and channels
+        (5, 5, 4, 6, 6, 3, 3, 1, 0),     # 2x4 outputs, 3x3 taps: pairs of images and channels
         (7, 4, 4, 4, 3, 1, 1, 1, 0),     # pointwise, 4x4 outputs: single images
         (1, 3, 7, 5, 4, 3, 2, 2, 1),     # 3x2 taps: single channels; stride and padding
         (2, 5, 9, 9, 3, 5, 5, 2, 2),     # 5x5 taps: pairs of channels, the last slice three
@@ -390,18 +464,10 @@ class TestSlicing:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((n, c, h, wd))
         w = rng.standard_normal((c_out, c, kh, kw))
-        out = conv2d(x, w, None, stride, padding)
-        dout = rng.standard_normal(out.shape)
-        dx, dw, _ = conv2d_backward(x, w, dout, stride, padding)
+        dout = rng.standard_normal(conv2d(x, w, None, stride, padding).shape)
+        assert_matches_bruteforce(x, w, dout, stride, padding)
         # The forward or dw is cut into slices of unequal size.
         assert any(len({b - a for a, b in ranges}) > 1 for ranges in calls)
-        want_dw = np.zeros_like(w)
-        for i in range(n):
-            assert np.abs(out[i] - conv_bruteforce(x[i], w, None, stride, padding)).max() <= 1e-12
-            want_dx, dw_i = conv_backward_bruteforce(x[i], w, dout[i], stride, padding)
-            assert np.abs(dx[i] - want_dx).max() <= 1e-12
-            want_dw += dw_i
-        assert np.abs(dw - want_dw).max() <= 1e-12
 
     def test_peak_memory_is_bounded(self):
         # Whole patch matrices were 369 MB for this forward and 380 MB for this dw.

@@ -273,7 +273,10 @@ class TestGradients:
 # SHA-256 over the logits and then each trainable gradient (name, then float64
 # bytes) of one forward_backward on micro_model, recorded with numpy 2.4 before
 # the groups == 1 einsums dropped their size-1 group axis. A change of any bit
-# fails here, so every round-off change to the kernels is a deliberate one.
+# fails here, so every round-off change to the kernels is a deliberate one: a
+# change that moves bits on purpose re-records the digests it moves and shows
+# TestExactGradients passing. ("scratch", 1, 0) was re-recorded when its 8 -> 4
+# channel 5x5 first layer moved to the tap-stacked kernels.
 PASS_DIGESTS = {
     ("cp", 1, 0): "6394753bb361a59e4530bbc93aee62eb43b319775042ce90569961194fad62f4",
     ("cp", 2, 1): "276bb5801683949b413877bcd7a284ee4d696475411391acd1940f09f970bf88",
@@ -281,7 +284,7 @@ PASS_DIGESTS = {
     ("tucker", 2, 1): "aa7c2c49b239d2fc1a7b7f96f8440800be674bc39a8b9b85e287d6a88d919cd7",
     ("reduce", 1, 0): "e325ff8cc01eb2a46ac13987c393aea61d994a9693dc9819e6af96389d6ade48",
     ("reduce", 2, 1): "c4b1ce1df90472581609af9077d76742a3dbaca564ee9ffda7e651c89e164f45",
-    ("scratch", 1, 0): "f5241c24d2b71f173e627300b9450dc443edfee2a7bfde1a7ec24b790d6e526b",
+    ("scratch", 1, 0): "63a80391c40bb15fc66e526219943cc6ab9f94b39f3184400dc6d1c7dce2acd6",
     ("scratch", 2, 1): "d6c17956f1c73a6158c3ee40645db90deddf3a711160b68b0e0cadd0f723f3f3",
 }
 
