@@ -23,13 +23,18 @@ from .errors import FormatError
 _UINT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write a file via temp-file + rename so readers never see partial output."""
+def atomic_write_bytes(path: str, data) -> None:
+    """Write a file via temp-file + rename so readers never see partial output.
+
+    ``data`` is bytes, or a :class:`Writer`, whose parts are written in turn
+    without being joined; ``len(data)`` is the byte count either way.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for part in data if isinstance(data, Writer) else (data,):
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,13 +64,30 @@ def read_exact(f, n: int, what: str, out=None):
 
 
 class Writer:
-    """Accumulates one container's fields; :meth:`save` writes them atomically."""
+    """Accumulates one container's fields; :meth:`save` writes them atomically.
+
+    Arrays are kept, not copied to bytes, when they already have the declared
+    dtype and are contiguous, so they must not change before :meth:`save`.
+    Iterating yields the parts in order; ``len()`` is their total byte count.
+    """
 
     def __init__(self, magic: bytes):
-        self._parts = [magic]
+        self._parts = []
+        self._size = 0
+        self._add(magic)
+
+    def _add(self, part) -> None:
+        self._parts.append(part)
+        self._size += memoryview(part).nbytes
+
+    def __iter__(self):
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        return self._size
 
     def _uints(self, size: int, values) -> None:
-        self._parts.append(struct.pack(f"<{len(values)}{_UINT[size]}", *values))
+        self._add(struct.pack(f"<{len(values)}{_UINT[size]}", *values))
 
     def u8(self, *values: int) -> None:
         self._uints(1, values)
@@ -78,16 +100,16 @@ class Writer:
 
     def array(self, a, dtype: str) -> None:
         """Row-major data of ``a`` as ``dtype`` (e.g. ``"<f8"``); the shape is not written."""
-        self._parts.append(np.asarray(a, dtype=dtype).tobytes())
+        self._add(np.ascontiguousarray(a, dtype=dtype))
 
     def text(self, value: str, prefix: int = 4, encoding: str = "utf-8") -> None:
         """Encoded text preceded by its byte length as a ``prefix``-byte unsigned int."""
         raw = value.encode(encoding)
         self._uints(prefix, (len(raw),))
-        self._parts.append(raw)
+        self._add(raw)
 
     def save(self, path: str) -> None:
-        atomic_write_bytes(path, b"".join(self._parts))
+        atomic_write_bytes(path, self)
 
 
 class Reader:

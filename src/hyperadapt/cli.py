@@ -212,10 +212,12 @@ def _load_run(cfg: RunConfig):
     (h, w), (kh, kw) = train_ts.tiles.shape[2:], bank.weights.shape[2:]
     ho = conv_output_size(h, kh, cfg.stride, cfg.padding)
     wo = conv_output_size(w, kw, cfg.stride, cfg.padding)
-    if 1 <= min(ho, wo) < cfg.pool:
+    geometry = f"{h}x{w} tiles, {kh}x{kw} kernel, stride {cfg.stride}, padding {cfg.padding}"
+    if min(ho, wo) < 1:
+        raise UsageError(f"the first layer's output is empty ({geometry})")
+    if min(ho, wo) < cfg.pool:
         raise UsageError(
-            f"pool ({cfg.pool}) must be <= the first layer's output size {ho}x{wo} "
-            f"({h}x{w} tiles, {kh}x{kw} kernel, stride {cfg.stride}, padding {cfg.padding})")
+            f"pool ({cfg.pool}) must be <= the first layer's output size {ho}x{wo} ({geometry})")
     return train_ts, test_ts, bank, classes
 
 

@@ -247,6 +247,24 @@ class TestTrainCmd:
         cfg = write_config(tmp_path, pool=8, epochs=1, **files)
         assert main(["train", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["train"], ["rank-sweep", "--ranks", "1", "--seeds", "1", "--out", "sweep.csv"],
+    ], ids=["train", "rank-sweep"])
+    def test_tile_files_smaller_than_kernel_are_usage_errors(self, tmp_path, monkeypatch, capsys,
+                                                             command):
+        # 2x2 tiles and a 3x3 kernel leave the first layer no output.
+        monkeypatch.chdir(tmp_path)  # where a sweep would write
+        files = {}
+        for ts in synth_spectral_task(12, 3, 16, seed=0, tile=2):
+            files[f"{ts.split}_tiles"] = tmp_path / f"{ts.split}.tls"
+            save_tiles(ts, str(files[f"{ts.split}_tiles"]))
+        cfg = write_config(tmp_path, **files)
+        assert main([command[0], "--config", cfg, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the first layer's output is empty "
+                              "(2x2 tiles, 3x3 kernel, stride 1, padding 0)"), err
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "test.tls", "train.tls"]
+
     def test_bad_epochs_override_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", cfg, "--epochs", "-1"]) == 2

@@ -184,8 +184,10 @@ def tap_stacked(g):
 
 
 def bit_exact_scope(g):
-    """Where the patch-matrix kernels give the einsum kernels' bits."""
-    return g["n"] >= 2 and g["c"] >= 2 and g["ho"] * g["wo"] > 1 and not tap_stacked(g)
+    """Where the patch-matrix kernels give the einsum kernels' bits: dense calls
+    off the tap-stacked path (grouped calls are lowered)."""
+    return (g["groups"] == 1 and g["n"] >= 2 and g["c"] >= 2 and g["ho"] * g["wo"] > 1
+            and not tap_stacked(g))
 
 
 def random_operands(g, rng):
@@ -349,10 +351,14 @@ class TestAgainstEinsumKernels:
                                       g["groups"])
 
 
-def record_tap_stacked(monkeypatch):
-    """Record the tap-stacked forward and dw calls by name."""
+TAP_STACKED = ("_tap_stacked_forward", "_tap_stacked_dw")
+LOWERED = ("_lowered_forward", "_lowered_dw", "_lowered_dx")  # in conv2d_backward's order
+
+
+def record_kernels(monkeypatch, names):
+    """Record the calls to the named nn.conv kernels by name."""
     calls = []
-    for name in ("_tap_stacked_forward", "_tap_stacked_dw"):
+    for name in names:
         def recording(*args, name=name, real=getattr(conv, name)):
             calls.append(name)
             return real(*args)
@@ -366,7 +372,7 @@ class TestTapStacked:
     def test_sweep_matches_bruteforce(self, monkeypatch, budget):
         if budget:  # every image a slice of its own
             monkeypatch.setattr(conv, "_SLICE_BYTES", budget)
-        calls = record_tap_stacked(monkeypatch)
+        calls = record_kernels(monkeypatch, TAP_STACKED)
         rng = np.random.default_rng(16)
         for g in sweep_geometries(9, 60, tap_stacked):
             calls.clear()
@@ -379,7 +385,7 @@ class TestTapStacked:
         (4, 4, 5, 5, 3, 5, 5, 2),         # 5x5 taps over a 5x5 input, padding 2
     ])
     def test_cases_match_bruteforce(self, monkeypatch, n, c, h, wd, c_out, kh, kw, padding):
-        calls = record_tap_stacked(monkeypatch)
+        calls = record_kernels(monkeypatch, TAP_STACKED)
         rng = np.random.default_rng(17)
         x = rng.standard_normal((n, c, h, wd))
         w = rng.standard_normal((c_out, c, kh, kw))
@@ -405,11 +411,102 @@ class TestTapStacked:
         (8, 8, 1, 5), (4, 8, 2, 5), (4, 8, 1, 1),
     ])
     def test_other_calls_take_the_patch_matrix(self, monkeypatch, c_out, c, stride, kernel):
-        calls = record_tap_stacked(monkeypatch)
+        calls = record_kernels(monkeypatch, TAP_STACKED)
         x = np.ones((2, c, 9, 9))
         w = np.ones((c_out, c, kernel, kernel))
         conv2d_backward(x, w, np.ones(conv2d(x, w, stride=stride).shape), stride=stride)
         assert calls == []
+
+
+def lowered(g):
+    """The calls nn.conv lowers along one axis: every grouped call."""
+    return g["groups"] > 1
+
+
+class TestLowered:
+    @pytest.mark.parametrize("budget", [None, 1024])
+    def test_sweep_matches_bruteforce(self, monkeypatch, budget):
+        if budget:  # a few images, often one, per slice
+            monkeypatch.setattr(conv, "_SLICE_BYTES", budget)
+        calls = record_kernels(monkeypatch, LOWERED)
+        slices = record_slices(monkeypatch)
+        rng = np.random.default_rng(19)
+        # Kinds 1 to 3 of random_geometry: depthwise, one output per group and
+        # several outputs per group, with stride and padding pairs.
+        for g in sweep_geometries(10, 60, lowered):
+            calls.clear()
+            assert_matches_bruteforce(*random_operands(g, rng), g["stride"], g["padding"],
+                                      g["groups"])
+            assert calls == list(LOWERED), g
+        assert any(len(ranges) > 1 for ranges in slices) == bool(budget)
+
+    @pytest.mark.parametrize("n,c,h,wd,c_out,kh,kw,stride,padding,groups", [
+        (2, 16, 9, 8, 8, 5, 5, 1, 0, 8),               # the Tucker stage: 2 channels per output
+        (3, 6, 10, 7, 6, 5, 1, (2, 1), (1, 0), 6),     # CP's vertical stage, lowered transposed
+        (3, 6, 7, 10, 6, 1, 5, (1, 2), (0, 1), 6),     # CP's horizontal stage
+        (1, 6, 7, 6, 9, 2, 4, 2, (2, 1), 3),           # one image, 2x4 taps, 3 outputs per group
+        (2, 4, 6, 9, 4, 4, 2, (1, 3), 0, 4),           # 4x2 taps, lowered transposed
+        (4, 6, 5, 5, 4, 1, 1, 1, 1, 2),                # 1x1 grouped, padded
+    ])
+    @pytest.mark.parametrize("budget", [None, 1024])
+    def test_cases_match_bruteforce(self, monkeypatch, budget, n, c, h, wd, c_out, kh, kw,
+                                    stride, padding, groups):
+        if budget:
+            monkeypatch.setattr(conv, "_SLICE_BYTES", budget)
+        calls = record_kernels(monkeypatch, LOWERED)
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((n, c, h, wd))
+        w = rng.standard_normal((c_out, c // groups, kh, kw))
+        dout = rng.standard_normal(conv2d(x, w, None, stride, padding, groups).shape)
+        assert_matches_bruteforce(x, w, dout, stride, padding, groups)
+        assert calls == ["_lowered_forward"] * 2 + list(LOWERED[1:])
+
+    def test_single_image_matches_bruteforce(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((6, 9, 7))
+        w = rng.standard_normal((6, 2, 3, 4))
+        b = rng.standard_normal(6)
+        out = conv2d(x, w, b, (2, 1), (1, 2), groups=3)
+        assert np.abs(out - conv_bruteforce(x, w, b, (2, 1), (1, 2), 3)).max() <= 1e-12
+        dout = rng.standard_normal(out.shape)
+        dx, dw, db = conv2d_backward(x, w, dout, (2, 1), (1, 2), 3, need_db=True)
+        want_dx, want_dw = conv_backward_bruteforce(x, w, dout, (2, 1), (1, 2), 3)
+        assert dx.shape == x.shape
+        assert np.abs(dx - want_dx).max() <= 1e-12
+        assert np.abs(dw - want_dw).max() <= 1e-12
+        assert np.allclose(db, dout.sum(axis=(1, 2)))
+
+    def test_only_grouped_calls_are_lowered(self, monkeypatch):
+        calls = record_kernels(monkeypatch, LOWERED)
+        rng = np.random.default_rng(22)
+        geometries = sweep_geometries(11, 80, lambda g: True)
+        assert {g["groups"] > 1 for g in geometries} == {True, False}
+        for g in geometries:
+            calls.clear()
+            x, w, dout = random_operands(g, rng)
+            args = (g["stride"], g["padding"], g["groups"])
+            conv2d(x, w, None, *args)
+            conv2d_backward(x, w, dout, *args)
+            assert calls == (list(LOWERED) if lowered(g) else []), g
+
+    def test_peak_memory_is_bounded(self):
+        # The Tucker stage of 200 tiles: its patch matrix was 92 MB.
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((200, 16, 16, 16))
+        w = rng.standard_normal((8, 2, 5, 5))
+        dout = rng.standard_normal((200, 8, 12, 12))
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, groups=8)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            dx, _, _ = conv2d_backward(x, w, dout, groups=8, need_dw=False)
+            dx_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= 3 * conv._SLICE_BYTES + out.nbytes
+        assert dx_peak <= 3 * conv._SLICE_BYTES + dx.nbytes
 
 
 def record_slices(monkeypatch):
