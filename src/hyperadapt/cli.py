@@ -112,16 +112,10 @@ class RunConfig:
         check_settings(self)
         if bool(self.train_tiles) != bool(self.test_tiles):
             raise UsageError("train_tiles and test_tiles must be given together")
-        if not self.train_tiles:  # synthetic tiles
-            if self.synth_channels < self.synth_classes:
-                raise UsageError(
-                    f"synth_channels ({self.synth_channels}) must be >= synth_classes "
-                    f"({self.synth_classes}): each class needs a channel of its own")
-            if not self.bank and self.synth_tile + 2 * self.padding < self.bank_kernel:
-                raise UsageError(
-                    f"synth_tile + 2 * padding ({self.synth_tile + 2 * self.padding}) must "
-                    f"be >= bank_kernel ({self.bank_kernel}), or the first layer's output "
-                    f"is empty")
+        if not self.train_tiles and self.synth_channels < self.synth_classes:
+            raise UsageError(
+                f"synth_channels ({self.synth_channels}) must be >= synth_classes "
+                f"({self.synth_classes}): each class needs a channel of its own")
         # TrainConfig and CpOptions check the keys they own.
         self.train_config()
         self.cp_options()

@@ -225,7 +225,8 @@ class TestTrainCmd:
         cfg = write_config(tmp_path, synth_tile=2, bank_kernel=3)
         assert main(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage error: synth_tile + 2 * padding (2) must be >= bank_kernel (3)")
+        assert err.startswith("usage error: the first layer's output is empty "
+                              "(2x2 tiles, 3x3 kernel, stride 1, padding 0)"), err
         assert os.listdir(tmp_path) == ["run.cfg"]
         # One pixel of padding on each side makes room for the kernel.
         cfg = write_config(tmp_path, synth_tile=2, bank_kernel=3, padding=1, epochs=1)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -28,9 +29,16 @@ from hyperadapt.nn import (
     train,
     write_log_csv,
 )
-from hyperadapt.nn.conv import _batched
+from hyperadapt.nn.conv import _batched, _pair
 from hyperadapt.nn.gradcheck import numeric_gradients
-from test_conv import conv_backward_bruteforce, conv_bruteforce
+from test_conv import (
+    KERNELS,
+    conv_backward_bruteforce,
+    conv_bruteforce,
+    layout_kernels,
+    record_kernels,
+    tap_stacked,
+)
 
 
 def random_adapted(kind, c_out, channels, rank, k, seed, bias=True):
@@ -271,22 +279,21 @@ class TestGradients:
 
 
 # SHA-256 over the logits and then each trainable gradient (name, then float64
-# bytes) of one forward_backward on micro_model, recorded with numpy 2.4 before
-# the groups == 1 einsums dropped their size-1 group axis. A change of any bit
-# fails here, so every round-off change to the kernels is a deliberate one: a
-# change that moves bits on purpose re-records the digests it moves and shows
-# TestExactGradients passing. ("scratch", 1, 0) was re-recorded when its 8 -> 4
-# channel 5x5 first layer moved to the tap-stacked kernels, and the cp and
-# tucker digests when their grouped spatial stages moved to the lowered kernels.
+# bytes) of one forward_backward on micro_model, recorded with numpy 2.4. A
+# change of any bit fails here, so every round-off change to the kernels is a
+# deliberate one: a change that moves bits on purpose re-records the digests
+# it moves and shows TestExactGradients passing. All eight were re-recorded
+# when every conv moved to the tap-stacked or lowered layout and every dx to
+# the lowered one; they were the same at 1, 2 and 4 OpenBLAS threads.
 PASS_DIGESTS = {
-    ("cp", 1, 0): "e3bc3c9184bd768a1c415bb477ef24a798a0222c33c62f2b73e2be16dea98a6c",
-    ("cp", 2, 1): "52efb7149ac27037b3bf3ad32f21ec8d8022f33e9716828f5fe9631ed9bf2fe3",
-    ("tucker", 1, 0): "9e6d6ddd2cb5d70009ca890e0949418d35c07c6e943f4a05f2032938046e692a",
-    ("tucker", 2, 1): "5d15a070dc6547c909d8ad2a89d9fa3bba228213a41693943271a58d8e42052b",
-    ("reduce", 1, 0): "e325ff8cc01eb2a46ac13987c393aea61d994a9693dc9819e6af96389d6ade48",
-    ("reduce", 2, 1): "c4b1ce1df90472581609af9077d76742a3dbaca564ee9ffda7e651c89e164f45",
-    ("scratch", 1, 0): "63a80391c40bb15fc66e526219943cc6ab9f94b39f3184400dc6d1c7dce2acd6",
-    ("scratch", 2, 1): "d6c17956f1c73a6158c3ee40645db90deddf3a711160b68b0e0cadd0f723f3f3",
+    ("cp", 1, 0): "f1c7c505fa18fce6ea490ea89f2ab8791e088c7712a4429563ecd71ce6d0f675",
+    ("cp", 2, 1): "e766a0026a99bca2487b244e0c8315bd584f85997da6260c2bcb1b0bc8dfefbb",
+    ("tucker", 1, 0): "cc6fd0c165f8d77ecc8e742566fb58a4aae938094712bb5960b853618268e9ea",
+    ("tucker", 2, 1): "1d418bbfc68655e36afa9c92c110b50ce92c0692344cdfb477bfdd701a453d14",
+    ("reduce", 1, 0): "7fe0e65f5b2292807d00220f5144323c4d8b04833806bce1757456139962797e",
+    ("reduce", 2, 1): "0a0b3a097f43bf1f992cac46bd0b87f34abc899e8ffc7d74067ad0066d9ff654",
+    ("scratch", 1, 0): "da6f1600446da9559c00c80916f57d0be11e07d38efe5a9fcf68a97d3e8a961f",
+    ("scratch", 2, 1): "0d78439968f957963a9983b9e136adcfc101dd7ebfe69ec91b4fec7ae13a12c1",
 }
 
 
@@ -336,6 +343,47 @@ class TestExactGradients:
         for name in want:
             scale = np.abs(want[name]).max()
             assert np.abs(got[name] - want[name]).max() <= 1e-10 * scale, name
+
+
+class TestConvLayouts:
+    @pytest.mark.parametrize("method,stride,padding", sorted(PASS_DIGESTS))
+    def test_each_conv_takes_the_layout_of_its_shape(self, monkeypatch, method, stride,
+                                                     padding):
+        from hyperadapt.nn import layers
+
+        model, batch, labels = micro_model(method, stride=stride, padding=padding)
+        kernels = record_kernels(monkeypatch, KERNELS)
+        layouts = []
+
+        def checked(real, kinds):
+            signature = inspect.signature(real)
+
+            def call(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                a = bound.arguments
+                x, w = np.asarray(a["x"]), np.asarray(a["w"])
+                g = dict(groups=a["groups"], stride=_pair(a["stride"]), c=x.shape[-3],
+                         c_out=w.shape[0], kh=w.shape[2], kw=w.shape[3])
+                kernels.clear()
+                result = real(*args, **kwargs)
+                want = [k for k, kind in zip(layout_kernels(g), ("forward", "dw", "dx"))
+                        if kind in kinds and a.get(f"need_{kind}", True)]
+                assert kernels == want, (g, a.get("need_dx"), a.get("need_dw"))
+                layouts.append(tap_stacked(g))
+                return result
+
+            return call
+
+        monkeypatch.setattr(layers, "conv2d", checked(layers.conv2d, ("forward",)))
+        monkeypatch.setattr(layers, "conv2d_backward",
+                            checked(layers.conv2d_backward, ("dw", "dx")))
+        forward_backward(model, batch, labels)
+        # The mid conv (4 to 8 channels, 3x3) is lowered. The cp, tucker and
+        # reduce first layers have pointwise stages, which are tap-stacked, and
+        # so is Scratch's 8 to 4 conv at stride 1 but not at stride 2.
+        assert False in layouts
+        assert (True in layouts) == (method != "scratch" or stride == 1)
 
 
 class TestBitExactPass:
