@@ -291,28 +291,43 @@ def assert_peak_memory_bounded(x, w, dout, padding=0, groups=1):
     assert dx_peak <= 3 * conv._SLICE_BYTES + dx.nbytes
 
 
-class TestLayouts:
+def assert_sweep_matches_bruteforce(monkeypatch, geometries, seed):
+    """Every geometry's forward, dx and dw within 1e-12 of the loop oracles,
+    through the kernels of the layout its shape picks."""
+    calls = record_kernels(monkeypatch, KERNELS)
+    rng = np.random.default_rng(seed)
+    for g in geometries:
+        calls.clear()
+        assert_matches_bruteforce(*random_operands(g, rng), g["stride"], g["padding"],
+                                  g["groups"])
+        assert calls == layout_kernels(g), g
+
+
+def edge_shape(g):
+    """One image, one input channel or a 1x1 output."""
+    return g["n"] == 1 or g["c"] == 1 or g["ho"] * g["wo"] == 1
+
+
+class TestAgainstEinsumKernels:
+    """The shapes outside the scope where the retired patch matrix matched the
+    einsum kernels bit for bit. They are the edge shapes of both layouts."""
+
+    def test_outside_scope_matches_bruteforce(self, monkeypatch):
+        geometries = sweep_geometries(8, 60, edge_shape)
+        assert {(g["groups"] > 1, tap_stacked(g)) for g in geometries} == {
+            (True, False), (False, True), (False, False)}
+        assert_sweep_matches_bruteforce(monkeypatch, geometries, 12)
+
+
+class TestTapStacked:
     @pytest.mark.parametrize("budget", [None, 1024])
     def test_sweep_matches_bruteforce(self, monkeypatch, budget):
         if budget:  # a few images, often one, per slice
             monkeypatch.setattr(conv, "_SLICE_BYTES", budget)
-        calls = record_kernels(monkeypatch, KERNELS)
         slices = record_slices(monkeypatch)
-        rng = np.random.default_rng(19)
-        # Every kind of random_geometry: dense, depthwise, one output per group
-        # and several per group, with stride and padding pairs.
-        geometries = sweep_geometries(10, 150, lambda g: True)
-        assert {(g["groups"] > 1, tap_stacked(g)) for g in geometries} == {
-            (True, False), (False, True), (False, False)}
-        for g in geometries:
-            calls.clear()
-            assert_matches_bruteforce(*random_operands(g, rng), g["stride"], g["padding"],
-                                      g["groups"])
-            assert calls == layout_kernels(g), g
+        assert_sweep_matches_bruteforce(monkeypatch, sweep_geometries(9, 60, tap_stacked), 16)
         assert any(len(ranges) > 1 for ranges in slices) == bool(budget)
 
-
-class TestTapStacked:
     @pytest.mark.parametrize("n,c,h,wd,c_out,kh,kw,padding", [
         (1, 5, 7, 6, 1, 3, 2, 0),         # one image, one output, 3x2 taps
         (3, 6, 8, 5, 2, 2, 4, (1, 2)),    # 2x4 taps, unequal padding
@@ -365,6 +380,18 @@ class TestTapStacked:
 
 
 class TestLowered:
+    @pytest.mark.parametrize("budget", [None, 1024])
+    def test_sweep_matches_bruteforce(self, monkeypatch, budget):
+        if budget:  # a few images, often one, per slice
+            monkeypatch.setattr(conv, "_SLICE_BYTES", budget)
+        slices = record_slices(monkeypatch)
+        # Every grouped kind of random_geometry, and dense calls that are
+        # strided or have at least as many outputs as inputs.
+        geometries = sweep_geometries(10, 90, lambda g: not tap_stacked(g))
+        assert {g["groups"] > 1 for g in geometries} == {True, False}
+        assert_sweep_matches_bruteforce(monkeypatch, geometries, 19)
+        assert any(len(ranges) > 1 for ranges in slices) == bool(budget)
+
     @pytest.mark.parametrize("n,c,h,wd,c_out,kh,kw,stride,padding,groups", [
         (2, 16, 9, 8, 8, 5, 5, 1, 0, 8),               # the Tucker stage: 2 channels per output
         (3, 6, 10, 7, 6, 5, 1, (2, 1), (1, 0), 6),     # CP's vertical stage, lowered transposed
