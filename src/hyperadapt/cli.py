@@ -112,10 +112,6 @@ class RunConfig:
         check_settings(self)
         if bool(self.train_tiles) != bool(self.test_tiles):
             raise UsageError("train_tiles and test_tiles must be given together")
-        if not self.train_tiles and self.synth_channels < self.synth_classes:
-            raise UsageError(
-                f"synth_channels ({self.synth_channels}) must be >= synth_classes "
-                f"({self.synth_classes}): each class needs a channel of its own")
         # TrainConfig and CpOptions check the keys they own.
         self.train_config()
         self.cp_options()
@@ -157,10 +153,13 @@ def _load_task(cfg: RunConfig):
         train_ts = load_tiles(cfg.train_tiles)
         test_ts = load_tiles(cfg.test_tiles)
     else:
-        train_ts, test_ts = synth_spectral_task(
-            cfg.synth_channels, cfg.synth_classes, cfg.synth_samples,
-            seed=cfg.synth_seed, tile=cfg.synth_tile, noise=cfg.synth_noise,
-        )
+        try:
+            train_ts, test_ts = synth_spectral_task(
+                cfg.synth_channels, cfg.synth_classes, cfg.synth_samples,
+                seed=cfg.synth_seed, tile=cfg.synth_tile, noise=cfg.synth_noise,
+            )
+        except DataError as exc:  # the synth_* keys ask for a task that cannot exist
+            raise UsageError(f"synthetic task: {exc}") from exc
     train_ts = normalize(train_ts)
     test_ts = apply_stats(test_ts, train_ts.stats)
     return train_ts, test_ts

@@ -309,7 +309,8 @@ def synth_spectral_task(channels: int, classes: int, samples: int, seed: int = 0
     if classes < 2:
         raise DataError("need at least 2 classes")
     if channels < classes:
-        raise DataError("need at least one channel per class")
+        raise DataError(f"need at least one channel per class, got {channels} channels "
+                        f"for {classes} classes")
     rng = np.random.default_rng(seed)
     centers = (np.arange(classes) + 0.5) * channels / classes
     width = channels / (3.0 * classes)

@@ -4,7 +4,8 @@ A filter is a (channels x k1 x k2) tensor. Two decompositions are offered:
 
 * CP of rank R: a sum of R rank-one tensors, each an outer product of a
   spectral vector (length channels), a vertical tap vector (k1) and a
-  horizontal tap vector (k2). Computed by alternating least squares; the
+  horizontal tap vector (k2). Computed by alternating least squares, with
+  every restart of one filter stacked into a single sweep loop; the
   spatial tap columns are normalized to unit length with all scale pulled
   into the spectral columns, so the spectral side unambiguously owns scale.
 
@@ -121,55 +122,30 @@ def _unit_basis_columns(length: int, rank: int) -> np.ndarray:
 
 
 def _solve_factor(unf: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Least-squares update of one factor given the other two: the normal
-    # equations use the Hadamard product of grams, solved pseudo-inversely
-    # so collinear columns cannot crash a sweep.
+    # Least-squares update of one factor of every run given its other two:
+    # the normal equations use the Hadamard product of grams, solved
+    # pseudo-inversely so collinear columns cannot crash a sweep.
     kr = khatri_rao(f, g)
-    gram = (f.T @ f) * (g.T @ g)
-    return lstsq_gram(gram, kr.T @ unf.T).T
+    gram = (f.swapaxes(1, 2) @ f) * (g.swapaxes(1, 2) @ g)
+    return lstsq_gram(gram, kr.swapaxes(1, 2) @ unf.T).swapaxes(1, 2)
 
 
 def _pull_scale(factor: np.ndarray, spectral: np.ndarray):
     # Normalize nonzero columns to unit length, pushing the scale into the
     # spectral factor. Zero columns are left alone (their term is zero).
-    norms = np.linalg.norm(factor, axis=0)
-    nz = norms > 0
-    factor = factor.copy()
-    spectral = spectral.copy()
-    factor[:, nz] /= norms[nz]
-    spectral[:, nz] *= norms[nz]
-    return factor, spectral
+    norms = np.linalg.norm(factor, axis=-2, keepdims=True)
+    norms[norms == 0] = 1.0
+    return factor / norms, spectral * norms
 
 
-def _hosvd_init(filt: np.ndarray, rank: int, rng: np.random.Generator):
+def _init_factors(unfoldings, rank: int, rng: np.random.Generator, hosvd: bool):
+    # Leading left singular vectors of each unfolding (hosvd) or none, padded
+    # to ``rank`` columns with standard normal draws.
     factors = []
-    for mode in range(3):
-        u, _, _ = svd(unfold(filt, mode))
-        have = min(rank, u.shape[1])
-        f = u[:, :have]
-        if have < rank:
-            f = np.hstack([f, rng.standard_normal((f.shape[0], rank - have))])
-        factors.append(np.ascontiguousarray(f))
+    for unf in unfoldings:
+        f = svd(unf)[0][:, :rank] if hosvd else unf[:, :0]
+        factors.append(np.hstack([f, rng.standard_normal((len(unf), rank - f.shape[1]))]))
     return factors
-
-
-def _als_run(filt, rank, init, tol, max_iters, norm_t):
-    u0, u1, u2 = unfold(filt, 0), unfold(filt, 1), unfold(filt, 2)
-    a, b, c = init
-    errors = []
-    prev = None
-    for _ in range(max_iters):
-        a = _solve_factor(u0, b, c)
-        b = _solve_factor(u1, a, c)
-        b, a = _pull_scale(b, a)
-        c = _solve_factor(u2, a, b)
-        c, a = _pull_scale(c, a)
-        err = frobenius_norm(filt - np.einsum("cr,ir,jr->cij", a, b, c)) / norm_t
-        errors.append(err)
-        if prev is not None and abs(prev - err) < tol:
-            break
-        prev = err
-    return a, b, c, errors
 
 
 def cp_decompose(filt: np.ndarray, rank: int, opts: CpOptions | None = None,
@@ -178,9 +154,11 @@ def cp_decompose(filt: np.ndarray, rank: int, opts: CpOptions | None = None,
 
     Runs once from a deterministic init (leading singular vectors of each
     unfolding) and ``opts.restarts`` more times from seeded random inits,
-    keeping the best fit. ``stream`` separates random streams when many
-    filters share one options object (as ``decompose_bank`` does); results
-    depend only on (filter, rank, opts.seed, stream).
+    keeping the best fit; the first run wins a tie. All runs share one sweep
+    loop over stacked factors, and each stops at its own sweep. ``stream``
+    separates random streams when many filters share one options object (as
+    ``decompose_bank`` does); results depend only on (filter, rank,
+    opts.seed, stream).
 
     A zero filter cannot be fit: the result carries zero spectral columns,
     arbitrary unit spatial columns and ``degenerate=True``.
@@ -191,42 +169,47 @@ def cp_decompose(filt: np.ndarray, rank: int, opts: CpOptions | None = None,
     if rank < 1:
         raise ShapeError("rank must be >= 1")
     opts = opts or CpOptions()
-    ch, k1, k2 = filt.shape
+    runs = opts.restarts + 1
     norm_t = frobenius_norm(filt)
-    if norm_t == 0.0:
-        return CpDecomp(
-            spectral=np.zeros((ch, rank)),
-            x=_unit_basis_columns(k1, rank),
-            y=_unit_basis_columns(k2, rank),
-            rank=rank,
-            relative_error=0.0,
-            degenerate=True,
-        )
+    unfoldings = [unfold(filt, mode) for mode in range(3)]
+    inits = [_init_factors(unfoldings, rank, np.random.default_rng([opts.seed, stream, r]), r == 0)
+             for r in range(runs)]
+    a, b, c = (np.stack(f) for f in zip(*inits))
 
-    best = None
-    for ridx in range(opts.restarts + 1):
-        rng = np.random.default_rng([opts.seed, stream, ridx])
-        if ridx == 0:
-            init = _hosvd_init(filt, rank, rng)
-        else:
-            init = [rng.standard_normal((n, rank)) for n in (ch, k1, k2)]
-        a, b, c, errors = _als_run(filt, rank, init, opts.tol, opts.max_iters, norm_t)
-        if best is None or errors[-1] < best[3][-1]:
-            best = (a, b, c, errors)
+    errors = np.zeros((opts.max_iters, runs))
+    sweeps = np.zeros(runs, dtype=int)
+    live = np.arange(runs)
+    for it in range(opts.max_iters):
+        la = _solve_factor(unfoldings[0], b[live], c[live])
+        lb = _solve_factor(unfoldings[1], la, c[live])
+        lb, la = _pull_scale(lb, la)
+        lc = _solve_factor(unfoldings[2], la, lb)
+        lc, la = _pull_scale(lc, la)
+        a[live], b[live], c[live] = la, lb, lc
+        resid = (filt - np.einsum("ncr,nir,njr->ncij", la, lb, lc)).reshape(len(live), 1, -1)
+        # A (1, K) @ (K, 1) product per run sums in the order frobenius_norm
+        # does. A zero filter's fit is exact (all factors solve to zero), not 0/0.
+        errors[it, live] = np.sqrt(resid @ resid.swapaxes(1, 2)).ravel() / (norm_t or 1.0)
+        sweeps[live] += 1
+        if it:  # a NaN error never counts as settled
+            live = live[~(abs(errors[it - 1, live] - errors[it, live]) < opts.tol)]
+        if not live.size:
+            break
 
-    a, b, c, errors = best
-    b, a = _pull_scale(b, a)
-    c, a = _pull_scale(c, a)
+    best = int(np.argmin(errors[sweeps - 1, np.arange(runs)]))
+    sweep_errors = errors[:sweeps[best], best].tolist()
+    b, a = _pull_scale(b[best], a[best])
+    c, a = _pull_scale(c[best], a)
     # Replace any collapsed spatial column with an arbitrary unit vector;
     # its spectral column is zeroed so the term still contributes nothing.
-    for factor, k in ((b, k1), (c, k2)):
+    for factor, k in ((b, filt.shape[1]), (c, filt.shape[2])):
         dead = np.linalg.norm(factor, axis=0) == 0
         if dead.any():
             a[:, dead] = 0.0
             factor[:, dead] = _unit_basis_columns(k, rank)[:, dead]
     return CpDecomp(
-        spectral=a, x=b, y=c, rank=rank,
-        relative_error=errors[-1], sweep_errors=errors,
+        spectral=a, x=b, y=c, rank=rank, relative_error=sweep_errors[-1],
+        degenerate=norm_t == 0.0, sweep_errors=sweep_errors,
     )
 
 

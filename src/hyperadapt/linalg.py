@@ -42,15 +42,17 @@ def lstsq_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Eigenvalues below PINV_CUTOFF times the largest are treated as zero, so
     a singular gram yields the pseudo-inverse solution instead of an error.
+    Leading axes are batch axes: a stack of grams is solved against a stack
+    of right-hand sides, each gram with its own cutoff.
     """
     gram = np.ascontiguousarray(gram, dtype=np.float64)
     rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+    if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2]:
         raise ShapeError(f"gram must be square, got {gram.shape}")
-    if rhs.shape[0] != gram.shape[0]:
-        raise ShapeError(f"rhs has {rhs.shape[0]} rows, gram is {gram.shape[0]}x{gram.shape[0]}")
-    w, v = np.linalg.eigh((gram + gram.T) / 2.0)
-    wmax = max(float(w.max()), 0.0)
+    if rhs.shape[:-1] != gram.shape[:-1]:
+        raise ShapeError(f"rhs of shape {rhs.shape} does not match gram of shape {gram.shape}")
+    w, v = np.linalg.eigh((gram + gram.swapaxes(-1, -2)) / 2.0)
+    wmax = np.maximum(w.max(axis=-1, keepdims=True), 0.0)
     keep = w > PINV_CUTOFF * wmax
     inv = np.where(keep, 1.0, 0.0) / np.where(keep, w, 1.0)
-    return v @ (inv[:, None] * (v.T @ rhs))
+    return v @ (inv[..., None] * (v.swapaxes(-1, -2) @ rhs))

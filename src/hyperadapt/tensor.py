@@ -24,7 +24,6 @@ __all__ = [
     "unfold",
     "fold",
     "mode_product",
-    "outer3",
     "frobenius_norm",
     "khatri_rao",
     "save_tensor",
@@ -84,32 +83,26 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode))
 
 
-def outer3(a, b, c) -> np.ndarray:
-    """Rank-one order-3 tensor: result[i, j, k] = a[i] * b[j] * c[k]."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or c.ndim != 1:
-        raise ShapeError("outer3 takes three vectors")
-    return np.einsum("i,j,k->ijk", a, b, c)
-
-
 def frobenius_norm(t) -> float:
     """Square root of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product: column r is kron(a[:, r], b[:, r])."""
+    """Column-wise Kronecker product: column r is kron(a[:, r], b[:, r]).
+
+    Leading axes are batch axes: stacks of (I, R) and (J, R) matrices with
+    the same leading shape give a stack of (I*J, R) products.
+    """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("khatri_rao takes two matrices")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    i, r = a.shape
-    j, _ = b.shape
-    return (a[:, None, :] * b[None, :, :]).reshape(i * j, r)
+    if min(a.ndim, b.ndim) < 2 or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"khatri_rao takes two matrices or equal stacks of them, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-1]:
+        raise ShapeError(f"column counts differ: {a.shape[-1]} vs {b.shape[-1]}")
+    *lead, i, r = a.shape
+    return (a[..., :, None, :] * b[..., None, :, :]).reshape(*lead, i * b.shape[-2], r)
 
 
 def save_tensor(t: np.ndarray, path: str) -> None:

@@ -218,7 +218,8 @@ class TestTrainCmd:
         cfg = write_config(tmp_path, synth_channels=2, synth_classes=3)
         assert main(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage error: synth_channels (2) must be >= synth_classes (3)")
+        assert err.startswith("usage error: synthetic task: need at least one channel per "
+                              "class, got 2 channels for 3 classes"), err
         assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_tile_smaller_than_kernel_is_usage_error(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyperadapt.errors import ShapeError
 from hyperadapt.linalg import lstsq_gram, svd
 
 
@@ -66,3 +67,24 @@ class TestLstsqGram:
     def test_zero_gram_gives_zero(self):
         out = lstsq_gram(np.zeros((2, 2)), np.ones((2, 1)))
         assert np.array_equal(out, np.zeros((2, 1)))
+
+    def test_stack_matches_each_gram(self):
+        # Each gram keeps its own cutoff: a singular gram, a zero gram and
+        # one far below the others' scale share the stack.
+        rng = np.random.default_rng(4)
+        f = rng.standard_normal((4, 5, 3))
+        f[1, :, 2] = f[1, :, 0]
+        f[2] = 0.0
+        f[3] *= 1e-8
+        grams = f.swapaxes(1, 2) @ f
+        rhs = rng.standard_normal((4, 3, 4))
+        out = lstsq_gram(grams, rhs)
+        for k in range(4):
+            assert np.array_equal(out[k], lstsq_gram(grams[k], rhs[k]))
+
+    @pytest.mark.parametrize("gram_shape,rhs_shape", [
+        ((2, 3), (2, 1)), ((2, 2), (3, 1)), ((2, 2), (2,)), ((2, 2, 2), (3, 2, 1)),
+    ])
+    def test_shape_mismatch_rejected(self, gram_shape, rhs_shape):
+        with pytest.raises(ShapeError):
+            lstsq_gram(np.ones(gram_shape), np.ones(rhs_shape))

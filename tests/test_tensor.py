@@ -11,7 +11,6 @@ from hyperadapt.tensor import (
     khatri_rao,
     load_tensor,
     mode_product,
-    outer3,
     save_tensor,
     unfold,
 )
@@ -106,21 +105,6 @@ class TestModeProduct:
         assert np.allclose(ab, ba, rtol=1e-12, atol=1e-12)
 
 
-class TestOuter3:
-    def test_singleton(self):
-        assert outer3([1.0], [1.0], [1.0]).ravel() == pytest.approx([1.0])
-
-    def test_hand_case(self):
-        out = outer3([1.0, 0.0], [1.0, 1.0], [2.0])
-        assert np.array_equal(out, np.array([[[2.0], [2.0]], [[0.0], [0.0]]]))
-
-    def test_mode0_unfolding_has_rank_one(self):
-        rng = np.random.default_rng(4)
-        t = outer3(rng.standard_normal(3), rng.standard_normal(5), rng.standard_normal(4))
-        s = np.linalg.svd(unfold(t, 0), compute_uv=False)
-        assert s[1] <= 1e-12 * s[0]
-
-
 class TestFrobeniusNorm:
     def test_zero(self):
         assert frobenius_norm(np.zeros((2, 3))) == 0.0
@@ -156,6 +140,22 @@ class TestKhatriRao:
     def test_column_mismatch(self):
         with pytest.raises(ShapeError):
             khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
+
+    def test_stack_matches_each_pair(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((2, 3, 4, 2))
+        b = rng.standard_normal((2, 3, 5, 2))
+        kr = khatri_rao(a, b)
+        assert kr.shape == (2, 3, 20, 2)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(kr[idx], khatri_rao(a[idx], b[idx]))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((2, 4, 2), (3, 5, 2)), ((4, 2), (2, 5, 2)), ((4, 2), (5,)),
+    ])
+    def test_batch_mismatch(self, a_shape, b_shape):
+        with pytest.raises(ShapeError):
+            khatri_rao(np.ones(a_shape), np.ones(b_shape))
 
 
 class TestValidation:
