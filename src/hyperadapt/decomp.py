@@ -230,11 +230,9 @@ def tucker1_decompose(filt: np.ndarray, rank: int) -> Tucker1Decomp:
     spectral = np.ascontiguousarray(u[:, :r])
     core = mode_product(filt, spectral.T, 0)
     norm_t = frobenius_norm(filt)
-    if norm_t == 0.0:
-        return Tucker1Decomp(core=core, spectral=spectral, rank=r,
-                             relative_error=0.0, degenerate=True)
-    err = frobenius_norm(filt - mode_product(core, spectral, 0)) / norm_t
-    return Tucker1Decomp(core=core, spectral=spectral, rank=r, relative_error=err)
+    err = frobenius_norm(filt - mode_product(core, spectral, 0)) / (norm_t or 1.0)
+    return Tucker1Decomp(core=core, spectral=spectral, rank=r, relative_error=err,
+                         degenerate=norm_t == 0.0)
 
 
 def decompose_bank(bank, kind: str, rank: int, opts: CpOptions | None = None):

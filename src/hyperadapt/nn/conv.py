@@ -6,34 +6,41 @@ out (out_channels, in_channels // groups, kh, kw); activations are
 (N, C, H, W), with single-image (C, H, W) inputs accepted and returned
 everywhere. All float64, all deterministic.
 
-Each convolution is a ``matmul`` in one of two layouts, chosen by shape
-alone (no option):
+Each product of a convolution is a ``matmul``, by one rule: the forward
+picks one of two layouts by shape alone (no option), ``dw`` always uses
+frames, and ``dx`` is always lowered.
 
-* Tap-stacked (kn2row; Vasudevan, Anderson & Gregg 2017, "Parallel Multi
-  Channel Convolution using General Matrix Multiplication"; Anderson et al.
-  2017, arXiv:1709.03395) for dense stride-1 calls with a 1x1 kernel or
-  fewer outputs than input channels: the pointwise stages and the Scratch
+* Tap-stacked forward (kn2row; Vasudevan, Anderson & Gregg 2017, "Parallel
+  Multi Channel Convolution using General Matrix Multiplication"; Anderson
+  et al. 2017, arXiv:1709.03395) for dense stride-1 calls with a 1x1 kernel
+  or fewer outputs than input channels: the pointwise stages and the Scratch
   first layer (64 or 103 bands to 8 filters, 5x5). The weights, laid out
   (kh*kw*O, C), multiply each image's padded input as (C, Hp*Wp), giving
   every tap's output plane; kh*kw shifted-slice adds sum them into the
-  (N, O, Ho, Wo) output. A 1x1 kernel's one plane is the output. ``dw``
-  places the output gradient in kh*kw shifted zero frames of the padded
-  input's size, (kh*kw*O, Hp*Wp) per image, multiplies them by the input's
-  transpose and sums over images.
-* Lowered along one axis (MEC; Cho & Brand 2017, "MEC: Memory-efficient
-  Convolution for Deep Neural Network", ICML) for every other call: grouped
-  calls (the Tucker core stage, groups = C_out, 5x5, and the CP depthwise
-  stages, 5x1 then 1x5), strided dense calls, and dense calls with
-  C_out >= C_in, such as the mid conv (8 to 16, 3x3) and Reduce's RGB conv
-  (3 to 8, 5x5). The padded input is copied once from a view sliding along
-  its rows only, A[g, (n, i), (c', u, w')] = xp[n, g*C/G + c', i*sh + u,
-  w'], shape (G, N*Ho, C/G*kh*Wp): kh copies of the input, not kh*kw. The
-  other axis's taps and its stride go into a banded (Toeplitz) weight
-  T[g, (c', u, w'), (o', j)] = w[g*O/G + o', c', u, w' - j*sw] inside the
-  band and 0 outside, shape (G, C/G*kh*Wp, O/G*Wo), built once per call.
-  The forward is one GEMM per group, A @ T; ``dw`` is A^T @ dout with the
-  band gathered back. The band takes the axis with more taps, so a kernel
-  taller than wide (the CP 5x1 stage) is lowered from the transposed image.
+  (N, O, Ho, Wo) output. A 1x1 kernel's one plane is the output.
+* Lowered forward along one axis (MEC; Cho & Brand 2017, "MEC:
+  Memory-efficient Convolution for Deep Neural Network", ICML) for every
+  other call: grouped calls (the Tucker core stage, groups = C_out, 5x5, and
+  the CP depthwise stages, 5x1 then 1x5), strided dense calls, and dense
+  calls with C_out >= C_in, such as the mid conv (8 to 16, 3x3) and Reduce's
+  RGB conv (3 to 8, 5x5). The padded input is copied once from a view
+  sliding along its rows only, A[g, (n, i), (c', u, w')] = xp[n, g*C/G + c',
+  i*sh + u, w'], shape (G, N*Ho, C/G*kh*Wp): kh copies of the input, not
+  kh*kw. The other axis's taps and its stride go into a banded (Toeplitz)
+  weight T[g, (c', u, w'), (o', j)] = w[g*O/G + o', c', u, w' - j*sw] inside
+  the band and 0 outside, shape (G, C/G*kh*Wp, O/G*Wo), built once per call.
+  The forward is one GEMM per group, A @ T. The band takes the axis with
+  more taps, so a kernel taller than wide (the CP 5x1 stage) is lowered from
+  the transposed image.
+
+Every call's ``dw`` comes from output-gradient frames, kn2row run backwards.
+Tap (u, v)'s frame is a zero plane of the padded input's size holding the
+output gradient spread to the stride, output (i, j) at (u + i*sh, v + j*sw).
+The frames, laid out (G, kh*kw*O/G, Hp*Wp) per image, multiply the padded
+input's transpose, (G, Hp*Wp, C/G), in one batched GEMM per slice, and the
+products are summed over images. Every weight the library trains is dense
+(the spectral stages, Reduce's 1x1 convs and the Scratch layer); the frozen
+grouped stages never ask for ``dw``.
 
 Every call's ``dx`` is a lowered product of its own: the output gradient,
 spread to the stride (output row i on row kh-1 + i*sh of a zero frame) and
@@ -41,17 +48,17 @@ lowered along its rows, times T with its row taps reversed and its padding
 columns dropped. Each input row's kh taps meet in the GEMM, so nothing is
 added up afterwards.
 
-Where bits hold. Both layouts sum in another order than the direct loop
+Where bits hold. The kernels sum in another order than the direct loop
 definition of the convolution, so they match it to round-off, not bit for
 bit: on two standard-normal images of each of the library's shapes, the
 outputs and gradients differ from the loop oracles by at most 6e-14 in
 values of up to 74, and by 3e-13 in values of up to 190 for the Scratch
 first layer's 1600-term sums. With one BLAS build, a call's bits follow its
-shape alone. Each layout copies whole images per slice, about
-``_SLICE_BYTES`` of the matrix it builds (the tap planes, or the lowered
-input or gradient), into buffers allocated once per call; no slice splits a
-GEMM's contraction, and ``dw`` adds the slices' products in order. At
-padding 0 no layout copies the input to pad it.
+shape alone. Each kernel copies whole images per slice, about
+``_SLICE_BYTES`` of the matrix it builds (the tap planes, the ``dw``
+frames, or the lowered input or gradient), into buffers allocated once per
+call; no slice splits a GEMM's contraction, and ``dw`` adds the slices'
+products in order. At padding 0 no kernel copies the input to pad it.
 """
 
 from __future__ import annotations
@@ -141,15 +148,15 @@ def _image_slices(n, nbytes):
 
 
 def _tap_stacked(w, stride, groups) -> bool:
-    """Whether a call takes the tap-stacked path: dense, stride 1, and a 1x1
-    kernel or fewer outputs than input channels. Every other call is lowered."""
+    """Whether a call's forward is tap-stacked: dense, stride 1, and a 1x1
+    kernel or fewer outputs than input channels. Every other forward is lowered."""
     c_out, c_in, kh, kw = w.shape
     return groups == 1 and _pair(stride) == (1, 1) and (kh * kw == 1 or c_out < c_in)
 
 
 def _tap_slices(n, w, hp, wp):
-    """Image ranges for the tap-stacked path: about _SLICE_BYTES of tap planes,
-    kh*kw*O*Hp*Wp values per image, in each slice."""
+    """Image ranges for the tap planes of the forward and the frames of dw:
+    about _SLICE_BYTES of them, kh*kw*O*Hp*Wp values per image, in each slice."""
     c_out, _, kh, kw = w.shape
     return _image_slices(n, 8 * n * kh * kw * c_out * hp * wp)
 
@@ -177,26 +184,31 @@ def _tap_stacked_forward(x4, w, padding, ho, wo):
     return out
 
 
-def _tap_stacked_dw(x4, w, d4, padding):
+def _tap_stacked_dw(x4, w, d4, stride, padding, groups):
     """dw from output-gradient frames, one per tap, against the padded input."""
     xp = _padded(x4, padding)
     n, c, hp, wp = xp.shape
-    c_out, _, kh, kw = w.shape
+    c_out, c_in_g, kh, kw = w.shape
+    o_g = c_out // groups
+    sh, sw = _pair(stride)
     ho, wo = d4.shape[2:]
     slices = _tap_slices(n, w, hp, wp)
-    # Tap (u, v)'s frame is dout shifted by (u, v) into a zero plane of the
-    # padded input's size. Every slice writes the same places of its images'
-    # frames, so the zeros are laid once.
-    frames = np.zeros((max(b - a for a, b in slices), kh * kw * c_out, hp * wp))
-    taps = frames.reshape(-1, kh, kw, c_out, hp, wp)
-    dw = np.zeros((kh * kw * c_out, c))
+    # Tap (u, v)'s frame is dout spread to the stride, output (i, j) at
+    # (u + i*sh, v + j*sw) of a zero plane of the padded input's size. Every
+    # slice writes the same places of its images' frames, so the zeros are
+    # laid once.
+    frames = np.zeros((max(b - a for a, b in slices), groups, kh * kw * o_g, hp * wp))
+    taps = frames.reshape(-1, groups, kh, kw, o_g, hp, wp)
+    d5 = d4.reshape(n, groups, o_g, ho, wo)
+    dw = np.zeros((groups, kh * kw * o_g, c_in_g))
     for a, b in slices:
         for u in range(kh):
             for v in range(kw):
-                taps[:b - a, u, v, :, u:u + ho, v:v + wo] = d4[a:b]
-        x_t = xp[a:b].reshape(b - a, c, hp * wp).transpose(0, 2, 1)
+                taps[:b - a, :, u, v, :, u:u + sh * ho:sh, v:v + sw * wo:sw] = d5[a:b]
+        x_t = xp[a:b].reshape(b - a, groups, c_in_g, hp * wp).swapaxes(-1, -2)
         dw += np.matmul(frames[:b - a], x_t).sum(axis=0)
-    return np.ascontiguousarray(dw.reshape(kh, kw, c_out, c).transpose(2, 3, 0, 1))
+    dw = dw.reshape(groups, kh, kw, o_g, c_in_g).transpose(0, 3, 4, 1, 2)
+    return np.ascontiguousarray(dw).reshape(c_out, c_in_g, kh, kw)
 
 
 def _swap(a, flip):
@@ -213,16 +225,6 @@ def _lowered_call(w, stride, padding):
     if flip:
         return flip, w.swapaxes(2, 3), *(p[::-1] for p in pairs)
     return flip, w, *pairs
-
-
-def _lowered_buffers(n, c, kh, ho, wp, groups, *widths):
-    """Image ranges for the lowered path, whole images with about _SLICE_BYTES
-    of lowered input per slice, and a (G, rows, width) buffer per width sized
-    for the largest slice. Reusing one buffer keeps the allocator from
-    returning and faulting in the same pages once per slice."""
-    slices = _image_slices(n, 8 * n * c * ho * kh * wp)
-    rows = max(b - a for a, b in slices) * ho
-    return slices, [np.empty((groups, rows, width)) for width in widths]
 
 
 def _lowered(xp, kh, sh, buf):
@@ -263,18 +265,18 @@ def _grouped_frame(a4, groups, flip):
     return _swap(a4.reshape(n, groups, c // groups, *a4.shape[2:]), flip)
 
 
-def _rows(d5):
-    """(N, G, O/G, Ho, Wo) laid out as the lowered GEMM's product, (G, N*Ho, O/G*Wo)."""
-    n, groups, o_g, ho, wo = d5.shape
-    return np.ascontiguousarray(d5.transpose(1, 0, 3, 2, 4)).reshape(groups, n * ho, o_g * wo)
-
-
 def _lowered_product(xp, kh, sh, t, out5):
     """out5 (N, G, O/G, Ho, Wo) = xp lowered along its rows times the banded
-    weight ``t``, one GEMM per group and slice."""
+    weight ``t``, one GEMM per group and slice. Slices are whole images with
+    about _SLICE_BYTES of lowered input each. The lowered input and the
+    product each have one buffer, sized for the largest slice: reusing it
+    keeps the allocator from returning and faulting in the same pages once
+    per slice."""
     n, c, _, wp = xp.shape
     _, groups, _, ho, wo = out5.shape
-    slices, (low, prod) = _lowered_buffers(n, c, kh, ho, wp, groups, *t.shape[1:])
+    slices = _image_slices(n, 8 * n * c * ho * kh * wp)
+    rows = max(b - a for a, b in slices) * ho
+    low, prod = (np.empty((groups, rows, width)) for width in t.shape[1:])
     for a, b in slices:
         m = (b - a) * ho
         np.matmul(_lowered(xp[a:b], kh, sh, low), t, out=prod[:, :m])
@@ -320,24 +322,6 @@ def _lowered_dx(x4, w, d4, stride, padding, groups):
     return dx
 
 
-def _lowered_dw(x4, w, d4, stride, padding, groups):
-    """dw as the lowered input's transpose times the output gradient, with the
-    band gathered back into (O, C/G, kh, kw)."""
-    flip, w_f, (sh, sw), padding = _lowered_call(w, stride, padding)
-    xp = _padded(_swap(x4, flip), padding)
-    n, c, _, wp = xp.shape
-    c_out, c_in_g, kh, kw = w_f.shape
-    d5 = _grouped_frame(d4, groups, flip)
-    ho_f, wo_f = d5.shape[3:]
-    dt = np.zeros((groups, c_in_g * kh * wp, c_out // groups * wo_f))
-    slices, (low,) = _lowered_buffers(n, c, kh, ho_f, wp, groups, dt.shape[1])
-    for a, b in slices:
-        dt += np.matmul(_lowered(xp[a:b], kh, sh, low).transpose(0, 2, 1), _rows(d5[a:b]))
-    band = _band(dt.reshape(groups, c_in_g, kh, wp, -1, wo_f), kw, sw).sum(axis=-1)
-    dw = band.transpose(0, 4, 1, 2, 3).reshape(c_out, c_in_g, kh, kw)
-    return np.ascontiguousarray(_swap(dw, flip))
-
-
 def conv2d(x, w, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     """Grouped 2-D cross-correlation."""
     x4, squeeze = _batched(x)
@@ -363,11 +347,7 @@ def conv2d_backward(x, w, dout, stride=1, padding=0, groups=1,
     if d4.shape != want:
         raise ShapeError(f"output gradient has shape {d4.shape}, the convolution gives {want}")
 
-    dw = None
-    if need_dw and _tap_stacked(w, stride, groups):
-        dw = _tap_stacked_dw(x4, w, d4, padding)
-    elif need_dw:
-        dw = _lowered_dw(x4, w, d4, stride, padding, groups)
+    dw = _tap_stacked_dw(x4, w, d4, stride, padding, groups) if need_dw else None
     db = d4.sum(axis=(0, 2, 3)) if need_db else None
     dx = None
     if need_dx:

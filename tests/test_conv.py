@@ -238,16 +238,16 @@ class TestConvArguments:
             conv2d_backward(x, w, np.ones((1, 3, 4, 4)), stride=stride, padding=padding)
 
 
-TAP_STACKED = ("_tap_stacked_forward", "_tap_stacked_dw")
-LOWERED = ("_lowered_forward", "_lowered_dw", "_lowered_dx")  # in conv2d_backward's order
-KERNELS = TAP_STACKED + LOWERED
+FORWARDS = ("_tap_stacked_forward", "_lowered_forward")
+BACKWARDS = ("_tap_stacked_dw", "_lowered_dx")  # in conv2d_backward's order
+KERNELS = FORWARDS + BACKWARDS
 
 
 def layout_kernels(g):
     """The kernels of one conv2d call and one full conv2d_backward call of
-    geometry ``g``, in order: the forward and dw of its layout, then dx,
-    which every call lowers."""
-    return [*(TAP_STACKED if tap_stacked(g) else LOWERED[:2]), "_lowered_dx"]
+    geometry ``g``, in order: the forward of its layout, then dw, which
+    every call takes from frames, and dx, which every call lowers."""
+    return [FORWARDS[not tap_stacked(g)], *BACKWARDS]
 
 
 def record_kernels(monkeypatch, names):
@@ -340,7 +340,7 @@ class TestTapStacked:
         w = rng.standard_normal((c_out, c, kh, kw))
         dout = rng.standard_normal(conv2d(x, w, None, 1, padding).shape)
         assert_matches_bruteforce(x, w, dout, 1, padding)
-        assert calls == ["_tap_stacked_forward"] * 2 + ["_tap_stacked_dw", "_lowered_dx"]
+        assert calls == ["_tap_stacked_forward"] * 2 + list(BACKWARDS)
 
     def test_single_image_matches_bruteforce(self):
         rng = np.random.default_rng(18)
@@ -378,6 +378,24 @@ class TestTapStacked:
         assert forward_peak <= 3 * conv._SLICE_BYTES + out.nbytes
         assert dw_peak <= 3 * conv._SLICE_BYTES + dout.nbytes
 
+    @pytest.mark.parametrize("c,c_out,stride,groups", [
+        pytest.param(16, 8, 1, 8, id="tucker-stage"),
+        pytest.param(64, 8, 2, 1, id="scratch-stride-2"),
+    ])
+    def test_dw_peak_memory_is_bounded(self, c, c_out, stride, groups):
+        # dw takes frames for grouped and strided calls too, 200 tiles, 5x5.
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((200, c, 16, 16))
+        w = rng.standard_normal((c_out, c // groups, 5, 5))
+        dout = rng.standard_normal(conv2d(x, w, None, stride, 0, groups).shape)
+        tracemalloc.start()
+        try:
+            conv2d_backward(x, w, dout, stride, 0, groups, need_dx=False)
+            dw_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dw_peak <= 3 * conv._SLICE_BYTES + dout.nbytes
+
 
 class TestLowered:
     @pytest.mark.parametrize("budget", [None, 1024])
@@ -399,6 +417,8 @@ class TestLowered:
         (1, 6, 7, 6, 9, 2, 4, 2, (2, 1), 3),           # one image, 2x4 taps, 3 outputs per group
         (2, 4, 6, 9, 4, 4, 2, (1, 3), 0, 4),           # 4x2 taps, lowered transposed
         (4, 6, 5, 5, 4, 1, 1, 1, 1, 2),                # 1x1 grouped, padded
+        (2, 3, 9, 8, 4, 7, 7, 2, 3, 1),                # ResNet conv1's 7x7, stride 2, padding 3
+        (2, 6, 9, 10, 3, 7, 7, 2, 3, 3),               # the same, grouped: 2 channels per output
     ])
     @pytest.mark.parametrize("budget", [None, 1024])
     def test_cases_match_bruteforce(self, monkeypatch, budget, n, c, h, wd, c_out, kh, kw,
@@ -411,7 +431,7 @@ class TestLowered:
         w = rng.standard_normal((c_out, c // groups, kh, kw))
         dout = rng.standard_normal(conv2d(x, w, None, stride, padding, groups).shape)
         assert_matches_bruteforce(x, w, dout, stride, padding, groups)
-        assert calls == ["_lowered_forward"] * 2 + list(LOWERED[1:])
+        assert calls == ["_lowered_forward"] * 2 + list(BACKWARDS)
 
     def test_single_image_matches_bruteforce(self):
         rng = np.random.default_rng(21)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,16 @@ class TestTucker:
         zero = Tucker1Decomp(core=np.zeros((2, 4, 4)), spectral=rng.standard_normal((3, 2)),
                              rank=2, relative_error=0.0)
         assert not tucker1_reconstruct(zero).any()
+
+    def test_zero_filter_degenerate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = tucker1_decompose(np.zeros((3, 5, 5)), 2)
+            recon = tucker1_reconstruct(d)
+        assert d.degenerate
+        assert d.relative_error == 0.0 and type(d.relative_error) is float
+        assert d.core.shape == (2, 5, 5) and not d.core.any()
+        assert recon.shape == (3, 5, 5) and not recon.any()
 
     def test_dominates_cp_at_equal_rank(self):
         rng = np.random.default_rng(14)

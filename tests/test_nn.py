@@ -293,7 +293,7 @@ PASS_DIGESTS = {
     ("reduce", 1, 0): "7fe0e65f5b2292807d00220f5144323c4d8b04833806bce1757456139962797e",
     ("reduce", 2, 1): "0a0b3a097f43bf1f992cac46bd0b87f34abc899e8ffc7d74067ad0066d9ff654",
     ("scratch", 1, 0): "da6f1600446da9559c00c80916f57d0be11e07d38efe5a9fcf68a97d3e8a961f",
-    ("scratch", 2, 1): "0d78439968f957963a9983b9e136adcfc101dd7ebfe69ec91b4fec7ae13a12c1",
+    ("scratch", 2, 1): "d5f8cca773ae1b41b230af337a2cf21ae564c54d92a8eb9701ffb617a2e246c9",
 }
 
 
