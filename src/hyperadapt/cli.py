@@ -232,7 +232,7 @@ def cmd_decompose(args) -> int:
     opts = CpOptions(tol=args.tol, max_iters=args.max_iters,
                      restarts=args.restarts, seed=args.seed)
     decomps, errors = decompose_bank(bank, args.kind, args.rank, opts)
-    save_decomps(args.out, decomps, errors)
+    save_decomps(args.out, decomps)
     for o, err in enumerate(errors):
         print(f"filter {o}: relative error {err:.3e}")
     print(f"mean relative error: {errors.mean():.3e}")
@@ -260,12 +260,8 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, epochs=args.epochs)
     model, rows = _run_training(cfg, _load_run(cfg))
     write_log_csv(rows, cfg.out_log)
-    save_model(model, cfg.out_model, meta={
-        "method": cfg.method, "rank": str(cfg.rank), "init": cfg.init,
-        "seed": str(cfg.seed), "stride": str(cfg.stride),
-        "padding": str(cfg.padding),
-        "pool_h": str(cfg.pool), "pool_w": str(cfg.pool),
-    })
+    save_model(model, cfg.out_model,
+               meta={"rank": str(cfg.rank), "init": cfg.init, "seed": str(cfg.seed)})
     final = rows[-1] if rows else None
     if final:
         print(f"epochs: {len(rows)}  final test accuracy: {final[4]:.4f}  "

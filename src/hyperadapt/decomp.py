@@ -264,32 +264,33 @@ def _component_shapes(kind: str, ch: int, k1: int, k2: int, rank: int):
     return [(ch, rank), (rank, k1, k2)]
 
 
-def save_decomps(path: str, decomps, errors=None) -> None:
+def save_decomps(path: str, decomps) -> None:
     """Write per-filter decompositions as a DCP1 file.
 
     Layout: magic ``b"DCP1"``, u32 kind (0=CP, 1=Tucker), u32 C_out, C_in,
     k1, k2, R, then per filter the components as little-endian float64 in
     row-major order (CP: spectral (C_in x R), x (k1 x R), y (k2 x R);
-    Tucker: spectral (C_in x R), core (R x k1 x k2)), then C_out relative
-    errors.
+    Tucker: spectral (C_in x R), core (R x k1 x k2)), then each filter's
+    ``relative_error``. Every filter must match the header's kind and shapes.
     """
     if not decomps:
         raise ShapeError("cannot save an empty decomposition list")
     first = decomps[0]
     kind = CP if isinstance(first, CpDecomp) else TUCKER
-    if kind == CP:
-        k1, k2 = first.x.shape[0], first.y.shape[0]
-    else:
-        k1, k2 = first.core.shape[1], first.core.shape[2]
-    if errors is None:
-        errors = [d.relative_error for d in decomps]
+    k1, k2 = (len(first.x), len(first.y)) if kind == CP else first.core.shape[1:]
+    shapes = _component_shapes(kind, len(first.spectral), k1, k2, first.rank)
+    for o, d in enumerate(decomps):
+        got = [np.shape(getattr(d, name, None)) for name in _COMPONENTS[kind]]
+        if type(d) is not type(first) or got != shapes:
+            raise ShapeError(f"decomposition {o} ({type(d).__name__} {got}) does not match "
+                             f"decomposition 0 ({type(first).__name__} {shapes})")
 
     w = Writer(DCP_MAGIC)
-    w.u32(_KIND_TAGS[kind], len(decomps), first.spectral.shape[0], k1, k2, first.rank)
+    w.u32(_KIND_TAGS[kind], len(decomps), len(first.spectral), k1, k2, first.rank)
     for d in decomps:
         for name in _COMPONENTS[kind]:
             w.array(getattr(d, name), "<f8")
-    w.array(errors, "<f8")
+    w.array([d.relative_error for d in decomps], "<f8")
     w.save(path)
 
 

@@ -96,7 +96,6 @@ class AdaptedLayer:
     bias: np.ndarray | None = None
     init: str = "interp"
     seed: int = 0
-    rank_warning: bool = False
 
     def __post_init__(self):
         shape = np.shape(self.spectral)
@@ -129,6 +128,11 @@ class AdaptedLayer:
     @property
     def rank(self) -> int:
         return self.spectral.shape[2]
+
+    @property
+    def rank_warning(self) -> bool:
+        """A Tucker layer narrower than its rank cannot keep orthonormal spectral columns."""
+        return self.kind == TUCKER and self.new_channels < self.rank
 
     @property
     def kernel(self) -> tuple[int, int]:
@@ -199,9 +203,7 @@ def adapt(decomps, new_channels: int, init: str = "interp", seed: int = 0,
         for r in range(rank):
             spectral[o, :, r] = _expand_column(d.spectral[:, r], new_channels, init, rng)
 
-    rank_warning = False
     if not is_cp and new_channels < rank:
-        rank_warning = True
         warnings.warn(
             f"adapting a rank-{rank} Tucker layer to {new_channels} channels: "
             "the spectral factor cannot keep orthonormal columns",
@@ -221,7 +223,7 @@ def adapt(decomps, new_channels: int, init: str = "interp", seed: int = 0,
                             init=init, seed=seed)
     core = _frozen(np.stack([d.core for d in decomps]))
     return AdaptedLayer(kind=TUCKER, spectral=spectral, core=core, bias=bias_arr,
-                        init=init, seed=seed, rank_warning=rank_warning)
+                        init=init, seed=seed)
 
 
 def decompress(layer: AdaptedLayer) -> np.ndarray:
@@ -323,5 +325,4 @@ def load_adapted(path: str) -> AdaptedLayer:
     if init_tag >= len(INIT_POLICIES):
         raise FormatError(f"unknown init tag {init_tag}")
     return AdaptedLayer(kind=kind, spectral=spectral, x=x, y=y, core=core,
-                        bias=bias, init=INIT_POLICIES[init_tag], seed=seed,
-                        rank_warning=(kind == TUCKER and new_ch < rank))
+                        bias=bias, init=INIT_POLICIES[init_tag], seed=seed)

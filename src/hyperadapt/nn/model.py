@@ -8,7 +8,7 @@ the property the frozen mid conv exists to exercise.
 
 Checkpoints use the ``MDL1`` container: magic, a key=value metadata text
 block (enough to rebuild the architecture), then tagged parameter blocks,
-each with its trainability flag.
+each with a trainability flag that must match the architecture.
 """
 
 from __future__ import annotations
@@ -116,6 +116,13 @@ def first_layer_from_adapted(adapted: AdaptedLayer, stride=1, padding=0):
     return _FIRST_LAYERS[adapted.kind](adapted, stride=stride, padding=padding)
 
 
+def _assemble(first, mid_weight, head_weight, head_bias, pool) -> Model:
+    """The model around ``first``: frozen mid conv, ReLUs, pool and trainable head."""
+    mid = Conv2dLayer(Param("mid.weight", mid_weight, False), None, stride=1, padding=1)
+    head = Linear(Param("head.weight", head_weight, True), Param("head.bias", head_bias, True))
+    return Model(first, mid, pool, head)
+
+
 def build_model(first, classes: int, pool=(1, 1), seed: int = 0) -> Model:
     """Attach the frozen mid conv and a fresh classifier head to a first layer."""
     if classes < 2:
@@ -124,13 +131,10 @@ def build_model(first, classes: int, pool=(1, 1), seed: int = 0) -> Model:
     c_mid = 2 * c_out
     rng = np.random.default_rng(seed)
     mid_w = _fan_in_uniform(rng, (c_mid, c_out, 3, 3), c_out * 9)
-    mid = Conv2dLayer(Param("mid.weight", mid_w, False), None, stride=1, padding=1)
     th, tw = _pair(pool)
     features = c_mid * th * tw
     head_w = _fan_in_uniform(rng, (classes, features), features)
-    head = Linear(Param("head.weight", head_w, True),
-                  Param("head.bias", np.zeros(classes), True))
-    return Model(first, mid, pool, head)
+    return _assemble(first, mid_w, head_w, np.zeros(classes), pool)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -182,15 +186,14 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
     lines, u32 block count, then per block: u16 name length, name, u8
     trainable flag, u32 order, u32 extents, float64 little-endian data.
     """
-    meta = dict(meta or {})
-    meta.setdefault("method", getattr(model.first, "kind", "unknown"))
-    meta.setdefault("pool_h", str(model.pool[0]))
-    meta.setdefault("pool_w", str(model.pool[1]))
-    meta.setdefault("classes", str(model.num_classes))
-    sh, sw = _pair(getattr(model.first, "stride", 1))
-    ph, pw = _pair(getattr(model.first, "padding", 0))
-    meta.setdefault("stride", str(sh))
-    meta.setdefault("padding", str(ph))
+    (sh, sw), (ph, pw) = _pair(model.first.stride), _pair(model.first.padding)
+    if sh != sw or ph != pw:
+        raise ShapeError(f"MDL1 holds one stride and one padding, not stride {(sh, sw)} "
+                         f"and padding {(ph, pw)}")
+    # The architecture keys come from the model, whatever the caller passed.
+    meta = {**(meta or {}), "method": model.first.kind, "classes": str(model.num_classes),
+            "pool_h": str(model.pool[0]), "pool_w": str(model.pool[1]),
+            "stride": str(sh), "padding": str(ph)}
     w = Writer(MDL_MAGIC)
     w.text("".join(f"{k}={v}\n" for k, v in sorted(meta.items())))
     params = model.params()
@@ -210,9 +213,9 @@ def load_model(path: str):
         text = r.text("metadata")
         for _ in range(r.u32("block count")):
             name = r.text("block name", prefix=2, encoding="ascii")
-            trainable = r.u8("trainable flag")
+            flag = r.u8("trainable flag")
             shape = r.u32s(r.u32("block order"), "block extents")
-            blocks[name] = (bool(trainable), r.array("<f8", shape, f"block {name}"))
+            blocks[name] = (flag, r.array("<f8", shape, f"block {name}"))
 
     meta = {}
     for line in text.splitlines():
@@ -260,12 +263,10 @@ def load_model(path: str):
     else:
         raise FormatError(f"checkpoint has unknown method {method!r}")
 
-    mid = Conv2dLayer(Param("mid.weight", take("mid.weight"), False), None,
-                      stride=1, padding=1)
-    head = Linear(Param("head.weight", take("head.weight"), True),
-                  Param("head.bias", take("head.bias"), True))
-    model = Model(first, mid, pool, head)
+    model = _assemble(first, take("mid.weight"), take("head.weight"), take("head.bias"), pool)
+    # Trainability is the architecture's, not the file's: a flag can only confirm it.
     for p in model.params():
-        if p.name in blocks:
-            p.trainable = blocks[p.name][0]
+        if blocks[p.name][0] != p.trainable:
+            raise FormatError(f"block {p.name!r} has trainable flag {blocks[p.name][0]}, "
+                              f"but a {method} model's {p.name} has {int(p.trainable)}")
     return model, meta

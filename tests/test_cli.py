@@ -144,6 +144,13 @@ class TestTrainCmd:
         assert meta["method"] == "cp"
         assert model.in_channels == 12
 
+    def test_checkpoint_metadata_keys(self, tmp_path):
+        cfg = write_config(tmp_path, epochs=1, stride=2, padding=1, pool=2, seed=5)
+        assert main(["train", "--config", cfg]) == 0
+        _, meta = load_model(str(tmp_path / "model.mdl1"))
+        assert meta == {"classes": "3", "init": "interp", "method": "cp", "padding": "1",
+                        "pool_h": "2", "pool_w": "2", "rank": "2", "seed": "5", "stride": "2"}
+
     def test_gamma_one_constant_lr_column(self, tmp_path):
         cfg = write_config(tmp_path, gamma=1.0, epochs=3)
         assert main(["train", "--config", cfg]) == 0
@@ -359,6 +366,15 @@ class TestRankSweepCmd:
                    "--seeds", "1", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("ranks, message", [("1,x", "bad rank 'x'"), (",", "no ranks given")])
+    def test_bad_rank_list_is_usage_error(self, tmp_path, capsys, ranks, message):
+        cfg = write_config(tmp_path)
+        rc = main(["rank-sweep", "--config", cfg, "--ranks", ranks,
+                   "--seeds", "1", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
 
 def read_pgm(path):
     with open(path, "rb") as f:
@@ -428,6 +444,26 @@ class TestGradcheckCmd:
         assert "worst relative error" in out
         for block in ("first.spectral", "first.w1", "first.weight", "head.bias"):
             assert block in out
+
+    def test_config_checks_only_its_method(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, method="tucker")
+        assert main(["gradcheck", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "gradient check passed"
+        assert {line.split()[0] for line in lines[:-1]} == {"tucker"}
+        assert any("first.spectral" in line for line in lines)
+
+
+@pytest.mark.parametrize("command", [
+    ["train"],
+    ["rank-sweep", "--ranks", "1", "--out", "s.csv"],
+    ["gradcheck"],
+], ids=lambda command: command[0])
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\nmethod cp\n")
+    assert main(command[:1] + ["--config", str(path)] + command[1:]) == 2
+    assert capsys.readouterr().err == f"usage error: {path}:2: expected key = value\n"
 
 
 @pytest.mark.parametrize("argv", [

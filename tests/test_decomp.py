@@ -381,7 +381,7 @@ class TestDecompFile:
         bank = FilterBank(rng.standard_normal((3, 3, 5, 5)))
         decomps, errors = decompose_bank(bank, "cp", 2)
         path = tmp_path / "d.dcp"
-        save_decomps(str(path), decomps, errors)
+        save_decomps(str(path), decomps)
         kind, loaded, errs = load_decomps(str(path))
         assert kind == "cp"
         assert np.array_equal(errs, errors)
@@ -395,7 +395,7 @@ class TestDecompFile:
         bank = FilterBank(rng.standard_normal((3, 3, 5, 5)))
         decomps, errors = decompose_bank(bank, "tucker", 2)
         path = tmp_path / "d.dcp"
-        save_decomps(str(path), decomps, errors)
+        save_decomps(str(path), decomps)
         kind, loaded, _ = load_decomps(str(path))
         assert kind == "tucker"
         for a, b in zip(decomps, loaded):

@@ -74,7 +74,7 @@ def _decomps(kind):
                          y=ramp(3, 2, offset=o + 0.2), rank=2, relative_error=0.01 * o)
                 for o in range(2)]
     return [Tucker1Decomp(core=ramp(2, 3, 3, offset=o), spectral=ramp(3, 2, offset=o + 0.3),
-                          rank=2, relative_error=0.02 * o) for o in range(2)]
+                          rank=2, relative_error=0.5 / 2**o) for o in range(2)]
 
 
 def _tiles(stats):
@@ -102,7 +102,7 @@ CASES = {
     "dcp1_cp": (lambda p: save_decomps(p, _decomps("cp")),
                 lambda p: [a for d in load_decomps(p)[1] for a in (d.spectral, d.x, d.y)],
                 lambda: [a for d in _decomps("cp") for a in (d.spectral, d.x, d.y)]),
-    "dcp1_tucker": (lambda p: save_decomps(p, _decomps("tucker"), errors=[0.5, 0.25]),
+    "dcp1_tucker": (lambda p: save_decomps(p, _decomps("tucker")),
                     lambda p: [a for d in load_decomps(p)[1] for a in (d.spectral, d.core)]
                     + [load_decomps(p)[2]],
                     lambda: [a for d in _decomps("tucker") for a in (d.spectral, d.core)]
@@ -277,6 +277,53 @@ def test_unknown_init_policy_not_saved(tmp_path):
     assert not (tmp_path / "l.adp").exists()
 
 
+# name -> (byte offset, value written there, field the error must name)
+BAD_FLAGS = {
+    "dcp1_cp": (4, 2, "kind tag"),  # low byte of the u32 kind after the magic
+    "tls1_stats": (5, 2, "stats flag"),  # after the magic and the u8 split tag
+    "adp1_cp_bias": (28, 2, "bias flag"),  # after the magic and six u32 header fields
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FLAGS))
+def test_out_of_range_tag_is_a_format_error(tmp_path, pristine, name):
+    offset, value, field = BAD_FLAGS[name]
+    raw = bytearray(pristine[name])
+    raw[offset] = value
+    with pytest.raises(FormatError, match=field):
+        _load_bytes(tmp_path, name, bytes(raw))
+
+
+@pytest.mark.parametrize("mix", ["kinds", "ranks", "kernels"])
+def test_mixed_decomposition_list_is_not_saved(tmp_path, mix):
+    decomps = _decomps("cp")
+    if mix == "kinds":
+        decomps[1] = _decomps("tucker")[1]
+    elif mix == "ranks":
+        d = decomps[1]
+        decomps[1] = CpDecomp(spectral=d.spectral[:, :1], x=d.x[:, :1], y=d.y[:, :1],
+                              rank=1, relative_error=0.0)
+    else:
+        decomps[1].x = ramp(4, 2)
+    with pytest.raises(ShapeError, match="decomposition 1"):
+        save_decomps(str(tmp_path / "d.dcp"), decomps)
+    assert not (tmp_path / "d.dcp").exists()
+
+
+def test_failed_atomic_write_keeps_old_bytes_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "t.bin"
+    target.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(_io.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        _io.atomic_write_bytes(str(target), b"new")
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+
+
 # Each mutation leaves every block readable but makes two of them disagree.
 MISMATCHES = {
     "cp_x_rank": (lambda: CpFirstLayer(_cp_adapted()), "first.x", (2, 3, 3)),
@@ -306,6 +353,43 @@ def test_bad_metadata_integer_is_a_format_error(tmp_path, pristine):
     raw = pristine["mdl1_cp_bias"].replace(b"stride=1", b"stride=x")
     with pytest.raises(FormatError, match="stride"):
         _load_bytes(tmp_path, "mdl1", raw)
+
+
+def test_trainable_flag_must_match_the_architecture(tmp_path, pristine, capsys):
+    from hyperadapt.cli import main
+
+    raw = bytearray(pristine["mdl1_cp_bias"])
+    raw[raw.index(b"\x07\x00first.x") + 9] = 1  # u8 flag after the u16 length and the name
+    with pytest.raises(FormatError, match="first.x"):
+        _load_bytes(tmp_path, "mdl1", bytes(raw))
+    out_dir = tmp_path / "imgs"
+    assert main(["export-filters", "--model", str(tmp_path / "mdl1.bin"),
+                 "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "first.x" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("geometry", [{"stride": (2, 1)}, {"padding": (1, 0)}])
+def test_non_square_first_layer_is_not_saved(tmp_path, geometry):
+    model = _model(ScratchFirstLayer(ramp(2, 4, 3, 3), None, **geometry))
+    with pytest.raises(ShapeError, match=next(iter(geometry))):
+        save_model(model, str(tmp_path / "m.mdl1"))
+    assert not (tmp_path / "m.mdl1").exists()
+
+
+def test_caller_metadata_cannot_change_the_architecture_keys(tmp_path):
+    path = str(tmp_path / "m.mdl1")
+    meta = {"stride": "3", "padding": "2", "pool_h": "4", "method": "scratch", "rank": "2"}
+    save_model(_model(CpFirstLayer(_cp_adapted())), path, meta=meta)
+    model, loaded = load_model(path)
+    assert (model.first.stride, model.first.padding, model.pool) == (1, 0, (1, 1))
+    assert loaded == {"classes": "3", "method": "cp", "padding": "0", "pool_h": "1",
+                      "pool_w": "1", "rank": "2", "stride": "1"}
+    again = str(tmp_path / "again.mdl1")
+    save_model(model, again, loaded)
+    with open(path, "rb") as f, open(again, "rb") as g:
+        assert f.read() == g.read()
 
 
 def test_cli_returns_1_on_corrupted_inputs(tmp_path, pristine):
