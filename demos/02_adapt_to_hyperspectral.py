@@ -10,7 +10,7 @@ import numpy as np
 
 from hyperadapt.data import synth_filter_bank
 from hyperadapt.decomp import decompose_bank
-from hyperadapt.filteradapt import adapt, decompress, spatial_span_residual
+from hyperadapt.filteradapt import adapt, decompress, span_residual
 
 bank = synth_filter_bank(c_out=8, k=7, seed=1, noise=0.02)
 decomps, _ = decompose_bank(bank, "cp", 2)
@@ -23,7 +23,7 @@ print("identity adaptation (3 channels, interp):",
 for channels in (25, 103, 200):
     layer = adapt(decomps, channels, init="interp", bias=bank.bias)
     dense = decompress(layer)
-    resid = max(spatial_span_residual(layer, o) for o in range(layer.out_channels))
+    resid = max(span_residual(layer, o) for o in range(layer.out_channels))
     print(f"{channels:>3} channels -> dense bank {dense.shape}, "
           f"{layer.spectral.size} trainable spectral values, "
           f"worst span residual {resid:.1e}")

@@ -225,6 +225,10 @@ def preprocess_nearrange(cube: HyperCube, crop: int | None = None,
 def _fit_stats(tiles: np.ndarray) -> Stats:
     mean = tiles.mean(axis=(0, 2, 3))
     std = tiles.std(axis=(0, 2, 3))  # population formula
+    # A NaN or infinite tile value makes its channel's mean or std non-finite.
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise DataError(f"channels {bad.tolist()} hold non-finite tile values")
     std = np.where(std < 1e-12, 1.0, std)
     return Stats(mean=mean, std=std)
 

@@ -75,16 +75,24 @@ class CpDecomp:
 
     ``x`` and ``y`` columns are unit-norm; ``spectral`` columns carry all
     scale. ``sweep_errors`` records the relative error after each ALS sweep
-    of the winning run (monotonically non-increasing).
+    of the winning run (monotonically non-increasing). ``rank`` and
+    ``degenerate`` are read from the factors.
     """
 
     spectral: np.ndarray  # (channels, R)
     x: np.ndarray         # (k1, R)
     y: np.ndarray         # (k2, R)
-    rank: int
     relative_error: float
-    degenerate: bool = False
     sweep_errors: list = field(default_factory=list)
+
+    @property
+    def rank(self) -> int:
+        return self.spectral.shape[1]
+
+    @property
+    def degenerate(self) -> bool:
+        """A zero filter's fit: no spectral entry is nonzero."""
+        return not self.spectral.any()
 
     def reconstruct(self) -> np.ndarray:
         return cp_reconstruct(self)
@@ -96,9 +104,16 @@ class Tucker1Decomp:
 
     core: np.ndarray
     spectral: np.ndarray
-    rank: int
     relative_error: float
-    degenerate: bool = False
+
+    @property
+    def rank(self) -> int:
+        return self.spectral.shape[1]
+
+    @property
+    def degenerate(self) -> bool:
+        """A zero filter's fit: no core entry is nonzero."""
+        return not self.core.any()
 
     def reconstruct(self) -> np.ndarray:
         return tucker1_reconstruct(self)
@@ -160,8 +175,8 @@ def cp_decompose(filt: np.ndarray, rank: int, opts: CpOptions | None = None,
     ``decompose_bank`` does); results depend only on (filter, rank,
     opts.seed, stream).
 
-    A zero filter cannot be fit: the result carries zero spectral columns,
-    arbitrary unit spatial columns and ``degenerate=True``.
+    A zero filter cannot be fit: the result carries zero spectral columns
+    and arbitrary unit spatial columns, so it reads as ``degenerate``.
     """
     filt = as_tensor(filt)
     if filt.ndim != 3:
@@ -207,10 +222,8 @@ def cp_decompose(filt: np.ndarray, rank: int, opts: CpOptions | None = None,
         if dead.any():
             a[:, dead] = 0.0
             factor[:, dead] = _unit_basis_columns(k, rank)[:, dead]
-    return CpDecomp(
-        spectral=a, x=b, y=c, rank=rank, relative_error=sweep_errors[-1],
-        degenerate=norm_t == 0.0, sweep_errors=sweep_errors,
-    )
+    return CpDecomp(spectral=a, x=b, y=c, relative_error=sweep_errors[-1],
+                    sweep_errors=sweep_errors)
 
 
 def tucker1_decompose(filt: np.ndarray, rank: int) -> Tucker1Decomp:
@@ -231,8 +244,7 @@ def tucker1_decompose(filt: np.ndarray, rank: int) -> Tucker1Decomp:
     core = mode_product(filt, spectral.T, 0)
     norm_t = frobenius_norm(filt)
     err = frobenius_norm(filt - mode_product(core, spectral, 0)) / (norm_t or 1.0)
-    return Tucker1Decomp(core=core, spectral=spectral, rank=r, relative_error=err,
-                         degenerate=norm_t == 0.0)
+    return Tucker1Decomp(core=core, spectral=spectral, relative_error=err)
 
 
 def decompose_bank(bank, kind: str, rank: int, opts: CpOptions | None = None):
@@ -255,6 +267,8 @@ def decompose_bank(bank, kind: str, rank: int, opts: CpOptions | None = None):
     return decomps, errors
 
 
+# Each kind's blocks in file order: the spectral block, then the frozen
+# spatial blocks that ``adapt`` stacks per filter.
 _COMPONENTS = {CP: ("spectral", "x", "y"), TUCKER: ("spectral", "core")}
 
 
@@ -262,6 +276,26 @@ def _component_shapes(kind: str, ch: int, k1: int, k2: int, rank: int):
     if kind == CP:
         return [(ch, rank), (k1, rank), (k2, rank)]
     return [(ch, rank), (rank, k1, k2)]
+
+
+def _kernel(d) -> tuple[int, int]:
+    return (len(d.x), len(d.y)) if isinstance(d, CpDecomp) else d.core.shape[1:]
+
+
+def _uniform_kind(decomps) -> str:
+    # The kind of a non-empty list whose entries share it, their rank and
+    # their filter shape; reads shapes only. The first odd entry is named.
+    if not decomps:
+        raise ShapeError("need at least one per-filter decomposition")
+    first = decomps[0]
+    kind = CP if isinstance(first, CpDecomp) else TUCKER
+    shapes = _component_shapes(kind, len(first.spectral), *_kernel(first), first.rank)
+    for o, d in enumerate(decomps):
+        got = [np.shape(getattr(d, name, None)) for name in _COMPONENTS[kind]]
+        if type(d) is not type(first) or got != shapes:
+            raise ShapeError(f"decomposition {o} ({type(d).__name__} {got}) does not match "
+                             f"decomposition 0 ({type(first).__name__} {shapes})")
+    return kind
 
 
 def save_decomps(path: str, decomps) -> None:
@@ -273,20 +307,10 @@ def save_decomps(path: str, decomps) -> None:
     Tucker: spectral (C_in x R), core (R x k1 x k2)), then each filter's
     ``relative_error``. Every filter must match the header's kind and shapes.
     """
-    if not decomps:
-        raise ShapeError("cannot save an empty decomposition list")
+    kind = _uniform_kind(decomps)
     first = decomps[0]
-    kind = CP if isinstance(first, CpDecomp) else TUCKER
-    k1, k2 = (len(first.x), len(first.y)) if kind == CP else first.core.shape[1:]
-    shapes = _component_shapes(kind, len(first.spectral), k1, k2, first.rank)
-    for o, d in enumerate(decomps):
-        got = [np.shape(getattr(d, name, None)) for name in _COMPONENTS[kind]]
-        if type(d) is not type(first) or got != shapes:
-            raise ShapeError(f"decomposition {o} ({type(d).__name__} {got}) does not match "
-                             f"decomposition 0 ({type(first).__name__} {shapes})")
-
     w = Writer(DCP_MAGIC)
-    w.u32(_KIND_TAGS[kind], len(decomps), len(first.spectral), k1, k2, first.rank)
+    w.u32(_KIND_TAGS[kind], len(decomps), len(first.spectral), *_kernel(first), first.rank)
     for d in decomps:
         for name in _COMPONENTS[kind]:
             w.array(getattr(d, name), "<f8")
@@ -309,10 +333,7 @@ def load_decomps(path: str):
     stacks = [part.reshape((c_out,) + shape) for part, shape in
               zip(np.split(blob, np.cumsum(sizes)[:-1], axis=1), shapes)]
     cls = CpDecomp if kind == CP else Tucker1Decomp
-    zero_part = "spectral" if kind == CP else "core"  # all zeros marks a zero filter
-    decomps = []
-    for o in range(c_out):
-        parts = {name: stack[o] for name, stack in zip(_COMPONENTS[kind], stacks)}
-        decomps.append(cls(rank=rank, relative_error=float(errors[o]),
-                           degenerate=not parts[zero_part].any(), **parts))
+    decomps = [cls(relative_error=float(errors[o]),
+                   **{name: stack[o] for name, stack in zip(_COMPONENTS[kind], stacks)})
+               for o in range(c_out)]
     return kind, decomps, errors

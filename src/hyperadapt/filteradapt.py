@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import Writer, reading
-from .decomp import _KIND_TAGS, _TAG_KINDS, CP, TUCKER, CpDecomp, Tucker1Decomp
+from .decomp import (
+    _COMPONENTS, _KIND_TAGS, _TAG_KINDS, CP, TUCKER, _component_shapes, _uniform_kind,
+)
 from .errors import FormatError, ShapeError, UnsupportedKindError
 from .linalg import lstsq_gram
 from .tensor import as_tensor
@@ -39,8 +41,7 @@ __all__ = [
     "INIT_POLICIES",
     "adapt",
     "decompress",
-    "spatial_span_residual",
-    "core_span_residual",
+    "span_residual",
     "save_adapted",
     "load_adapted",
     "ADP_MAGIC",
@@ -83,8 +84,9 @@ class AdaptedLayer:
 
     CP layers carry per-filter tap matrices ``x`` (C_out, k1, R) and ``y``
     (C_out, k2, R); Tucker layers carry per-filter cores (C_out, R, k1, k2).
-    ``spectral`` is (C_out, new_channels, R) for both kinds. The spatial
-    arrays and bias are stored read-only; training may write only
+    For both kinds ``spectral`` is (C_out, new_channels, R) and ``basis``,
+    each filter's R frozen spatial patterns, is (C_out, R, k1, k2). The
+    spatial arrays and bias are stored read-only; training may write only
     ``spectral``.
     """
 
@@ -140,6 +142,13 @@ class AdaptedLayer:
             return self.x.shape[1], self.y.shape[1]
         return self.core.shape[2], self.core.shape[3]
 
+    @property
+    def basis(self) -> np.ndarray:
+        """(C_out, R, k1, k2): pattern r of filter o is x_r y_r^T (CP) or core slice r (Tucker)."""
+        if self.kind == CP:
+            return np.einsum("oir,ojr->orij", self.x, self.y)
+        return self.core
+
 
 def _channel_positions(n: int) -> np.ndarray:
     # Endpoint-aligned positions on [0, 1]; a single channel sits midway.
@@ -184,11 +193,7 @@ def adapt(decomps, new_channels: int, init: str = "interp", seed: int = 0,
         raise ShapeError("new channel count must be >= 1")
     if init not in INIT_POLICIES:
         raise ShapeError(f"unknown init policy {init!r}; expected one of {INIT_POLICIES}")
-    if not decomps:
-        raise ShapeError("need at least one per-filter decomposition")
-    is_cp = isinstance(decomps[0], CpDecomp)
-    if not all(isinstance(d, CpDecomp if is_cp else Tucker1Decomp) for d in decomps):
-        raise ShapeError("mixed decomposition kinds in one layer")
+    kind = _uniform_kind(decomps)
     source_channels = decomps[0].spectral.shape[0]
     if source_channels != 3:
         raise ShapeError(
@@ -203,34 +208,28 @@ def adapt(decomps, new_channels: int, init: str = "interp", seed: int = 0,
         for r in range(rank):
             spectral[o, :, r] = _expand_column(d.spectral[:, r], new_channels, init, rng)
 
-    if not is_cp and new_channels < rank:
-        warnings.warn(
-            f"adapting a rank-{rank} Tucker layer to {new_channels} channels: "
-            "the spectral factor cannot keep orthonormal columns",
-            stacklevel=2,
-        )
-
     bias_arr = None
     if bias is not None:
         bias_arr = _frozen(np.asarray(bias, dtype=np.float64))
         if bias_arr.shape != (len(decomps),):
             raise ShapeError(f"bias length {bias_arr.shape} does not match {len(decomps)} filters")
 
-    if is_cp:
-        x = _frozen(np.stack([d.x for d in decomps]))
-        y = _frozen(np.stack([d.y for d in decomps]))
-        return AdaptedLayer(kind=CP, spectral=spectral, x=x, y=y, bias=bias_arr,
-                            init=init, seed=seed)
-    core = _frozen(np.stack([d.core for d in decomps]))
-    return AdaptedLayer(kind=TUCKER, spectral=spectral, core=core, bias=bias_arr,
-                        init=init, seed=seed)
+    spatial = {name: _frozen(np.stack([getattr(d, name) for d in decomps]))
+               for name in _COMPONENTS[kind][1:]}
+    layer = AdaptedLayer(kind=kind, spectral=spectral, bias=bias_arr, init=init, seed=seed,
+                         **spatial)
+    if layer.rank_warning:
+        warnings.warn(
+            f"adapting a rank-{rank} Tucker layer to {new_channels} channels: "
+            "the spectral factor cannot keep orthonormal columns",
+            stacklevel=2,
+        )
+    return layer
 
 
 def decompress(layer: AdaptedLayer) -> np.ndarray:
     """Dense (C_out, new_channels, k1, k2) bank with the wide spectral parts in place."""
-    if layer.kind == CP:
-        return np.einsum("ocr,oir,ojr->ocij", layer.spectral, layer.x, layer.y)
-    return np.einsum("ocr,oruv->ocuv", layer.spectral, layer.core)
+    return np.einsum("ocr,orij->ocij", layer.spectral, layer.basis)
 
 
 def _span_residual(slices: np.ndarray, basis: np.ndarray) -> float:
@@ -247,31 +246,17 @@ def _span_residual(slices: np.ndarray, basis: np.ndarray) -> float:
     return float(out.max())
 
 
-def spatial_span_residual(layer: AdaptedLayer, o: int) -> float:
-    """How far filter ``o``'s channel slices stray from the frozen separable patterns.
+def span_residual(layer: AdaptedLayer, o: int) -> float:
+    """How far filter ``o``'s channel slices stray from its frozen spatial patterns.
 
-    For a CP layer, every channel slice of the decompressed filter must be a
-    linear combination of the rank-one patterns x_r y_r^T; the returned value
-    is the worst relative projection residual over channels (0 for a healthy
-    layer, regardless of how the spectral parts have been trained).
+    Every channel slice of the decompressed filter must be a linear
+    combination of the filter's R ``basis`` patterns (x_r y_r^T for CP, core
+    slices for Tucker); the returned value is the worst relative projection
+    residual over channels (0 for a healthy layer, regardless of how the
+    spectral parts have been trained).
     """
-    if layer.kind != CP:
-        raise UnsupportedKindError(
-            "spatial_span_residual applies to CP layers; use core_span_residual for Tucker"
-        )
-    basis = np.einsum("ir,jr->rij", layer.x[o], layer.y[o])
-    slices = np.einsum("cr,ir,jr->cij", layer.spectral[o], layer.x[o], layer.y[o])
-    return _span_residual(slices, basis)
-
-
-def core_span_residual(layer: AdaptedLayer, o: int) -> float:
-    """Tucker analogue: residual of channel slices against the span of core slices."""
-    if layer.kind != TUCKER:
-        raise UnsupportedKindError(
-            "core_span_residual applies to Tucker layers; use spatial_span_residual for CP"
-        )
-    slices = np.einsum("cr,ruv->cuv", layer.spectral[o], layer.core[o])
-    return _span_residual(slices, layer.core[o])
+    basis = layer.basis[o]
+    return _span_residual(np.einsum("cr,rij->cij", layer.spectral[o], basis), basis)
 
 
 _INIT_TAGS = {name: i for i, name in enumerate(INIT_POLICIES)}
@@ -292,8 +277,8 @@ def save_adapted(path: str, layer: AdaptedLayer) -> None:
     w = Writer(ADP_MAGIC)
     w.u32(_KIND_TAGS[layer.kind], layer.out_channels, layer.new_channels, k1, k2, layer.rank)
     w.u8(1 if layer.bias is not None else 0)
-    for block in (layer.x, layer.y) if layer.kind == CP else (layer.core,):
-        w.array(block, "<f8")
+    for name in _COMPONENTS[layer.kind][1:]:
+        w.array(getattr(layer, name), "<f8")
     w.array(layer.spectral, "<f8")
     if layer.bias is not None:
         w.array(layer.bias, "<f8")
@@ -312,17 +297,14 @@ def load_adapted(path: str) -> AdaptedLayer:
         has_bias = r.u8("bias flag")
         if has_bias > 1:
             raise FormatError(f"bias flag must be 0 or 1, got {has_bias}")
-        x = y = core = None
-        if kind == CP:
-            x = _frozen(r.array("<f8", (c_out, k1, rank), "x taps"))
-            y = _frozen(r.array("<f8", (c_out, k2, rank), "y taps"))
-        else:
-            core = _frozen(r.array("<f8", (c_out, rank, k1, k2), "cores"))
+        spatial = {name: _frozen(r.array("<f8", (c_out,) + shape, f"{name} blocks"))
+                   for name, shape in zip(_COMPONENTS[kind][1:],
+                                          _component_shapes(kind, new_ch, k1, k2, rank)[1:])}
         spectral = r.array("<f8", (c_out, new_ch, rank), "spectral")
         bias = _frozen(r.array("<f8", (c_out,), "bias")) if has_bias else None
         init_tag = r.u8("init tag")
         seed = r.u64("seed")
     if init_tag >= len(INIT_POLICIES):
         raise FormatError(f"unknown init tag {init_tag}")
-    return AdaptedLayer(kind=kind, spectral=spectral, x=x, y=y, core=core,
-                        bias=bias, init=INIT_POLICIES[init_tag], seed=seed)
+    return AdaptedLayer(kind=kind, spectral=spectral, bias=bias,
+                        init=INIT_POLICIES[init_tag], seed=seed, **spatial)

@@ -4,6 +4,8 @@ Everything here runs on matrices of at most a few hundred rows/columns, so
 the LAPACK routines behind numpy are more than adequate; the contracts that
 matter (reconstruction and orthogonality tolerances, pseudo-inverse cutoff)
 are enforced by the test suite rather than by reimplementing the kernels.
+Both kernels refuse non-finite input before LAPACK sees it: an infinite
+entry can leave LAPACK's SVD iterating without end.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ __all__ = ["svd", "lstsq_gram", "PINV_CUTOFF"]
 PINV_CUTOFF = 1e-12
 
 
+def _check_finite(m: np.ndarray, what: str) -> None:
+    if not np.isfinite(m).all():
+        raise NumericalError(f"{what} input holds a non-finite value")
+
+
 def svd(m: np.ndarray):
     """Thin SVD: returns (U, s, V) with m == U @ diag(s) @ V.T.
 
@@ -28,6 +35,7 @@ def svd(m: np.ndarray):
     m = np.ascontiguousarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"svd needs a matrix, got order {m.ndim}")
+    _check_finite(m, "SVD")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -51,6 +59,7 @@ def lstsq_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ShapeError(f"gram must be square, got {gram.shape}")
     if rhs.shape[:-1] != gram.shape[:-1]:
         raise ShapeError(f"rhs of shape {rhs.shape} does not match gram of shape {gram.shape}")
+    _check_finite(gram, "gram solve")
     w, v = np.linalg.eigh((gram + gram.swapaxes(-1, -2)) / 2.0)
     wmax = np.maximum(w.max(axis=-1, keepdims=True), 0.0)
     keep = w > PINV_CUTOFF * wmax

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..decomp import CP, TUCKER
+from ..decomp import _COMPONENTS, CP, TUCKER
 from ..errors import ShapeError, UnsupportedKindError
 from ..filteradapt import AdaptedLayer, FilterBank, decompress
 from .conv import _batched, _pair, conv2d, conv2d_backward
@@ -69,7 +69,7 @@ class Param:
 class ReLU:
     def forward(self, x):
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)  # NaN stays NaN, so non-finite weights reach the loss
 
     def backward(self, dout):
         return np.where(self._mask, dout, 0.0)
@@ -166,12 +166,9 @@ class _SpectralFirstLayer:
     filter o. Each subclass follows it with its frozen per-filter spatial
     stage inside its own ``forward``/``backward``, which begin with
     :meth:`_spectral_forward` / end with :meth:`_spectral_backward`.
-    ``_spatial_blocks`` names the subclass's frozen AdaptedLayer arrays, in
-    parameter order.
     """
 
     kind: str
-    _spatial_blocks: tuple[str, ...]
 
     def __init__(self, adapted: AdaptedLayer, stride=1, padding=0):
         if adapted.kind != self.kind:
@@ -200,6 +197,11 @@ class _SpectralFirstLayer:
     @property
     def rank(self):
         return self.spectral.value.shape[2]
+
+    @property
+    def _spatial_blocks(self):
+        # The kind's frozen AdaptedLayer arrays, in parameter order.
+        return _COMPONENTS[self.kind][1:]
 
     def _pointwise_weight(self):
         co, cn, rk = self.spectral.value.shape
@@ -238,7 +240,6 @@ class CpFirstLayer(_SpectralFirstLayer):
     """Separable realization of a CP adapted layer. Only the spectral block trains."""
 
     kind = CP
-    _spatial_blocks = ("x", "y")
 
     def _taps(self):
         # One depthwise filter per pointwise channel o*R+r: x taps (k1 x 1),
@@ -277,7 +278,6 @@ class TuckerFirstLayer(_SpectralFirstLayer):
     """Pointwise + grouped-conv realization of a Tucker adapted layer."""
 
     kind = TUCKER
-    _spatial_blocks = ("core",)
 
     def forward(self, x):
         h1 = self._spectral_forward(x)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._io import Writer, reading
-from ..decomp import CP, TUCKER
+from ..decomp import _COMPONENTS, CP, TUCKER
 from ..errors import DataError, FormatError, ShapeError
 from ..filteradapt import AdaptedLayer, FilterBank
 from .conv import _batched, _pair, adaptive_avg_pool, adaptive_avg_pool_backward
@@ -247,10 +247,9 @@ def load_model(path: str):
         return blocks[name][1] if name in blocks else None
 
     if method in _FIRST_LAYERS:
-        spatial = _FIRST_LAYERS[method]._spatial_blocks
         adapted = AdaptedLayer(kind=method, spectral=take("first.spectral"),
                                bias=maybe("first.bias"),
-                               **{name: take(f"first.{name}") for name in spatial})
+                               **{n: take(f"first.{n}") for n in _COMPONENTS[method][1:]})
         first = first_layer_from_adapted(adapted, stride=stride, padding=padding)
     elif method == "reduce":
         rgb = FilterBank(take("first.rgb_weight"), maybe("first.rgb_bias"))
@@ -266,7 +265,10 @@ def load_model(path: str):
     model = _assemble(first, take("mid.weight"), take("head.weight"), take("head.bias"), pool)
     # Trainability is the architecture's, not the file's: a flag can only confirm it.
     for p in model.params():
-        if blocks[p.name][0] != p.trainable:
-            raise FormatError(f"block {p.name!r} has trainable flag {blocks[p.name][0]}, "
+        flag = blocks.pop(p.name)[0]
+        if flag != p.trainable:
+            raise FormatError(f"block {p.name!r} has trainable flag {flag}, "
                               f"but a {method} model's {p.name} has {int(p.trainable)}")
+    if blocks:
+        raise FormatError(f"a {method} model has no block {', '.join(map(repr, blocks))}")
     return model, meta

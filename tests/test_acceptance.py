@@ -25,9 +25,8 @@ from hyperadapt.decomp import CpOptions, cp_decompose, decompose_bank, tucker1_d
 from hyperadapt.filteradapt import (
     AdaptedLayer,
     adapt,
-    core_span_residual,
     decompress,
-    spatial_span_residual,
+    span_residual,
 )
 from hyperadapt.nn import (
     Adam,
@@ -171,9 +170,8 @@ def test_criterion_6_freeze_and_span_preservation():
                 if not p.trainable:
                     assert np.array_equal(p.value, frozen_before[p.name]), p.name
             trained = first.to_adapted()
-            residual = spatial_span_residual if kind == "cp" else core_span_residual
             for o in range(trained.out_channels):
-                assert residual(trained, o) <= 1e-10
+                assert span_residual(trained, o) <= 1e-10
 
 
 def _first_layer_trainables(model):

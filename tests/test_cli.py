@@ -96,6 +96,17 @@ class TestDecomposeCmd:
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["cp", "tucker"])
+    def test_non_finite_bank_is_numerical_failure(self, tmp_path, capsys, kind):
+        weights = synth_filter_bank(4, 5, seed=0).weights
+        weights[1, 0, 2, 2] = np.inf
+        wpath = tmp_path / "bank.tns"
+        save_tensor(weights, str(wpath))
+        assert main(["decompose", "--bank", str(wpath), "--kind", kind, "--rank", "2",
+                     "--out", str(tmp_path / "d.dcp")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not (tmp_path / "d.dcp").exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         rc = main(["decompose", "--bank", str(tmp_path / "nope.tns"), "--kind", "cp",
                    "--rank", "1", "--out", str(tmp_path / "d.dcp")])
@@ -186,6 +197,18 @@ class TestTrainCmd:
         cfg = write_config(tmp_path, train_tiles=train_path, test_tiles=test_path)
         assert main(["train", "--config", cfg]) == 1
         assert f"labels must lie in [0, {n}) for {n} tiles" in capsys.readouterr().err
+        assert not (tmp_path / "model.mdl1").exists()
+
+    def test_non_finite_train_tile_is_data_error(self, tmp_path, capsys):
+        train_ts, test_ts = synth_spectral_task(8, 2, 8, seed=0, tile=8)
+        train_ts.tiles[3, 5, 1, 2] = np.inf
+        train_path, test_path = tmp_path / "train.tls", tmp_path / "test.tls"
+        save_tiles(train_ts, str(train_path))
+        save_tiles(test_ts, str(test_path))
+        cfg = write_config(tmp_path, train_tiles=train_path, test_tiles=test_path)
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: channels [5] hold non-finite tile values"), err
         assert not (tmp_path / "model.mdl1").exists()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):

@@ -8,6 +8,7 @@ from hyperadapt.data import synth_filter_bank
 from hyperadapt.decomp import (
     CpDecomp,
     CpOptions,
+    Tucker1Decomp,
     cp_decompose,
     cp_reconstruct,
     decompose_bank,
@@ -16,7 +17,7 @@ from hyperadapt.decomp import (
     tucker1_decompose,
     tucker1_reconstruct,
 )
-from hyperadapt.errors import ShapeError, UsageError
+from hyperadapt.errors import NumericalError, ShapeError, UsageError
 from hyperadapt.filteradapt import FilterBank
 from hyperadapt.linalg import lstsq_gram, svd
 from hyperadapt.tensor import frobenius_norm, khatri_rao, unfold
@@ -237,7 +238,6 @@ class TestCpReconstruct:
             spectral=np.array([[2.0], [0.0], [0.0]]),
             x=np.array([[1.0], [0.0]]),
             y=np.array([[0.0], [1.0]]),
-            rank=1,
             relative_error=0.0,
         )
         out = cp_reconstruct(d)
@@ -247,16 +247,14 @@ class TestCpReconstruct:
     def test_linear_in_spectral(self):
         rng = np.random.default_rng(6)
         d = cp_decompose(rng.standard_normal((3, 5, 5)), 2)
-        doubled = CpDecomp(spectral=2 * d.spectral, x=d.x, y=d.y, rank=2,
-                           relative_error=0.0)
+        doubled = CpDecomp(spectral=2 * d.spectral, x=d.x, y=d.y, relative_error=0.0)
         assert np.allclose(cp_reconstruct(doubled), 2 * cp_reconstruct(d), atol=1e-12)
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(7)
         d = CpDecomp(spectral=rng.standard_normal((3, 2)),
                      x=rng.standard_normal((4, 2)),
-                     y=rng.standard_normal((5, 2)),
-                     rank=2, relative_error=0.0)
+                     y=rng.standard_normal((5, 2)), relative_error=0.0)
         out = cp_reconstruct(d)
         expected = np.zeros((3, 4, 5))
         for c in range(3):
@@ -301,13 +299,10 @@ class TestTucker:
     def test_reconstruct_identity_and_zero(self):
         rng = np.random.default_rng(13)
         filt = rng.standard_normal((3, 4, 4))
-        from hyperadapt.decomp import Tucker1Decomp
-
-        ident = Tucker1Decomp(core=filt.copy(), spectral=np.eye(3), rank=3,
-                              relative_error=0.0)
+        ident = Tucker1Decomp(core=filt.copy(), spectral=np.eye(3), relative_error=0.0)
         assert np.allclose(tucker1_reconstruct(ident), filt)
         zero = Tucker1Decomp(core=np.zeros((2, 4, 4)), spectral=rng.standard_normal((3, 2)),
-                             rank=2, relative_error=0.0)
+                             relative_error=0.0)
         assert not tucker1_reconstruct(zero).any()
 
     def test_zero_filter_degenerate(self):
@@ -373,6 +368,43 @@ class TestDecomposeBank:
         rng = np.random.default_rng(18)
         decomps, errors = decompose_bank(rng.standard_normal((2, 3, 3, 3)), "tucker", 2)
         assert len(decomps) == 2 and errors.shape == (2,)
+
+    @pytest.mark.parametrize("kind", ["cp", "tucker"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_bank_is_a_numerical_error(self, kind, value):
+        # An infinite entry can leave LAPACK's SVD iterating without end.
+        weights = synth_filter_bank(4, 5, seed=0).weights
+        weights[2, 1, 3, 0] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            decompose_bank(weights, kind, 2)
+
+
+class TestDerivedFacts:
+    """Rank and degeneracy are read from the factors, never stored beside them."""
+
+    @pytest.mark.parametrize("kind", ["cp", "tucker"])
+    def test_degenerate_follows_the_factors(self, tmp_path, kind):
+        rng = np.random.default_rng(21)
+        weights = np.stack([np.zeros((3, 5, 5)), rng.standard_normal((3, 5, 5))])
+        decomps, _ = decompose_bank(weights, kind, 2)
+        path = str(tmp_path / "d.dcp")
+        save_decomps(path, decomps)
+        loaded = load_decomps(path)[1]
+        assert [d.degenerate for d in decomps] == [True, False]
+        assert [d.degenerate for d in loaded] == [True, False]
+        # Zeroing the block that carries a filter's energy makes it degenerate.
+        (decomps[1].spectral if kind == "cp" else decomps[1].core)[:] = 0.0
+        assert decomps[1].degenerate
+
+    @pytest.mark.parametrize("kind", ["cp", "tucker"])
+    @pytest.mark.parametrize("key", ["rank", "degenerate"])
+    def test_rank_and_degenerate_are_not_settable(self, kind, key):
+        d = decompose_bank(np.ones((1, 3, 4, 5)), kind, 2)[0][0]
+        assert d.rank == d.spectral.shape[1]
+        parts = {"spectral": d.spectral, "relative_error": 0.0}
+        parts.update({"x": d.x, "y": d.y} if kind == "cp" else {"core": d.core})
+        with pytest.raises(TypeError, match=key):
+            type(d)(**parts, **{key: 1})
 
 
 class TestDecompFile:

@@ -7,11 +7,10 @@ from hyperadapt.errors import ShapeError, UnsupportedKindError
 from hyperadapt.filteradapt import (
     AdaptedLayer,
     adapt,
-    core_span_residual,
     decompress,
     load_adapted,
     save_adapted,
-    spatial_span_residual,
+    span_residual,
 )
 
 
@@ -94,6 +93,16 @@ class TestAdapt:
             layer = adapt(tucker_decomps, 1)
         assert layer.rank_warning
 
+    @pytest.mark.parametrize("second", [("tucker", 2, 5), ("cp", 1, 5), ("cp", 3, 5),
+                                        ("cp", 2, 7)],
+                             ids=["kinds", "lower_rank", "higher_rank", "kernels"])
+    def test_mixed_decomposition_list_rejected(self, second):
+        def one(kind, rank, k):
+            return decompose_bank(synth_filter_bank(1, k, seed=0), kind, rank)[0][0]
+
+        with pytest.raises(ShapeError, match="decomposition 1"):
+            adapt([one("cp", 2, 5), one(*second)], 8)
+
     def test_bad_channel_count(self, cp_decomps):
         with pytest.raises(ShapeError):
             adapt(cp_decomps, 0)
@@ -148,7 +157,7 @@ class TestSpanResidual:
     def test_fresh_layer_in_span(self, cp_decomps):
         layer = adapt(cp_decomps, 16, init="random", seed=3)
         for o in range(layer.out_channels):
-            assert spatial_span_residual(layer, o) <= 1e-10
+            assert span_residual(layer, o) <= 1e-10
 
     def test_perturbed_spatial_leaves_span(self, cp_decomps):
         layer = adapt(cp_decomps, 16, init="random", seed=4)
@@ -161,7 +170,7 @@ class TestSpanResidual:
 
         basis = np.einsum("ir,jr->rij", layer.x[0], layer.y[0])
         assert _span_residual(slices, basis) > 1e-6
-        assert spatial_span_residual(broken, 0) <= 1e-10  # unperturbed control
+        assert span_residual(broken, 0) <= 1e-10  # unperturbed control
 
     def test_rank_one_slices_proportional(self, bank):
         decomps = decompose_bank(bank, "cp", 1)[0]
@@ -172,18 +181,10 @@ class TestSpanResidual:
             coef = layer.spectral[0, c, 0]
             assert np.allclose(dense[0, c], coef * pattern, atol=1e-12)
 
-    def test_wrong_kind_raises(self, tucker_decomps, cp_decomps):
-        tl = adapt(tucker_decomps, 8)
-        with pytest.raises(UnsupportedKindError):
-            spatial_span_residual(tl, 0)
-        cl = adapt(cp_decomps, 8)
-        with pytest.raises(UnsupportedKindError):
-            core_span_residual(cl, 0)
-
     def test_tucker_core_span(self, tucker_decomps):
         layer = adapt(tucker_decomps, 16, init="random", seed=6)
         for o in range(layer.out_channels):
-            assert core_span_residual(layer, o) <= 1e-10
+            assert span_residual(layer, o) <= 1e-10
 
 
 class TestAdaptedFile:

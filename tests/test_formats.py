@@ -71,10 +71,10 @@ def _reduce_first():
 def _decomps(kind):
     if kind == "cp":
         return [CpDecomp(spectral=ramp(3, 2, offset=o), x=ramp(3, 2, offset=o + 0.1),
-                         y=ramp(3, 2, offset=o + 0.2), rank=2, relative_error=0.01 * o)
+                         y=ramp(3, 2, offset=o + 0.2), relative_error=0.01 * o)
                 for o in range(2)]
     return [Tucker1Decomp(core=ramp(2, 3, 3, offset=o), spectral=ramp(3, 2, offset=o + 0.3),
-                          rank=2, relative_error=0.5 / 2**o) for o in range(2)]
+                          relative_error=0.5 / 2**o) for o in range(2)]
 
 
 def _tiles(stats):
@@ -302,7 +302,7 @@ def test_mixed_decomposition_list_is_not_saved(tmp_path, mix):
     elif mix == "ranks":
         d = decomps[1]
         decomps[1] = CpDecomp(spectral=d.spectral[:, :1], x=d.x[:, :1], y=d.y[:, :1],
-                              rank=1, relative_error=0.0)
+                              relative_error=0.0)
     else:
         decomps[1].x = ramp(4, 2)
     with pytest.raises(ShapeError, match="decomposition 1"):
@@ -347,6 +347,17 @@ def test_load_model_cross_checks_block_shapes(tmp_path, case):
     save_model(model, path)
     with pytest.raises(ShapeError):
         load_model(path)
+
+
+def test_unused_block_is_a_format_error(tmp_path, pristine):
+    raw = pristine["mdl1_cp_bias"]
+    at = 8 + struct.unpack_from("<I", raw, 4)[0]  # the block count, after the metadata text
+    count = struct.unpack_from("<I", raw, at)[0]
+    extra = (struct.pack("<H", 12) + b"first.weight" + struct.pack("<BII", 1, 1, 2)
+             + struct.pack("<2d", 0.5, -0.5))
+    bad = raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:] + extra
+    with pytest.raises(FormatError, match="first.weight"):
+        _load_bytes(tmp_path, "mdl1", bad)
 
 
 def test_bad_metadata_integer_is_a_format_error(tmp_path, pristine):

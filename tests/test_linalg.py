@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperadapt.errors import ShapeError
+from hyperadapt.errors import NumericalError, ShapeError
 from hyperadapt.linalg import lstsq_gram, svd
 
 
@@ -38,6 +38,14 @@ class TestSvd:
             approx = u[:, :r] @ np.diag(s[:r]) @ v[:, :r].T
             direct = np.linalg.norm(m - approx)
             assert direct == pytest.approx(np.sqrt((s[r:] ** 2).sum()), rel=1e-9, abs=1e-12)
+
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected(self, value):
+        m = np.ones((3, 4))
+        m[1, 2] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            svd(m)
 
 
 class TestLstsqGram:
@@ -88,3 +96,10 @@ class TestLstsqGram:
     def test_shape_mismatch_rejected(self, gram_shape, rhs_shape):
         with pytest.raises(ShapeError):
             lstsq_gram(np.ones(gram_shape), np.ones(rhs_shape))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_gram_rejected(self, value):
+        grams = np.stack([np.eye(2), np.eye(2)])
+        grams[1, 0, 1] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            lstsq_gram(grams, np.ones((2, 2, 1)))

@@ -488,6 +488,16 @@ class TestTraining:
             train(model, train_ts.tiles, train_ts.labels,
                   test_ts.tiles, test_ts.labels, cfg)
 
+    def test_nan_spectral_block_reaches_the_loss(self):
+        # The ReLU after the first layer passes NaN on instead of zeroing it.
+        model, _, _ = micro_model("cp")
+        model.named_params()["first.spectral"].value[1, 2, 0] = np.nan
+        train_ts, test_ts = self._task()
+        cfg = TrainConfig(lr0=0.01, gamma=0.95, batch_size=16, epochs=1, seed=5)
+        with pytest.raises(NumericalError, match="non-finite training loss"):
+            train(model, train_ts.tiles, train_ts.labels,
+                  test_ts.tiles, test_ts.labels, cfg)
+
     @pytest.mark.parametrize("option", [
         {"lr0": float("nan")}, {"lr0": float("inf")}, {"gamma": 1.5}, {"seed": -1},
     ])
