@@ -191,6 +191,14 @@ def _load_run(cfg: RunConfig):
     Returns the normalized (train, test) tiles, the RGB bank and the class count.
     """
     train_ts, test_ts = _load_task(cfg)
+    # normalize() checked the train tiles through their stats; the test tiles
+    # are only shifted. Per-channel extremes need no tile-sized mask, and the
+    # initial value lets an empty test set through to train()'s own check.
+    lo = test_ts.tiles.min(axis=(0, 2, 3), initial=0.0)
+    hi = test_ts.tiles.max(axis=(0, 2, 3), initial=0.0)
+    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
+    if bad.size:
+        raise DataError(f"test tile channels {bad.tolist()} hold non-finite values")
     bank = _load_bank(cfg)
     # normalize() has already rejected an empty training set; train() rejects an empty test set.
     labels = np.concatenate((train_ts.labels, test_ts.labels))

@@ -175,6 +175,8 @@ def tile_remote_sensing(cube: HyperCube, tile: int = 11, stride: int = 3,
     """
     if cube.labels is None:
         raise DataError("remote-sensing tiling needs a per-pixel label map")
+    if tile < 1 or stride < 1:
+        raise ShapeError(f"tile ({tile}) and stride ({stride}) must be >= 1")
     _, h, w = cube.data.shape
     if h < tile or w < tile:
         raise ShapeError(f"cube {h}x{w} smaller than tile {tile}")
@@ -206,6 +208,8 @@ def preprocess_nearrange(cube: HyperCube, crop: int | None = None,
     """
     lo, hi = drop_channels
     c, h, w = cube.data.shape
+    if pad < 0:
+        raise ShapeError(f"pad must be >= 0, got {pad}")
     if lo < 0 or hi < 0 or lo + hi >= c:
         raise ShapeError(f"cannot drop ({lo}, {hi}) of {c} channels")
     data = cube.data[lo:c - hi]

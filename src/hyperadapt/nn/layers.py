@@ -6,16 +6,18 @@ biases); Scratch trains its full dense kernel. Spatial taps, Tucker cores,
 the original RGB weights and every bias inherited from the source bank are
 frozen: backward passes propagate through them but never write to them.
 
-The separable pipelines realize an adapted layer without densifying it.
-Both start with the same trainable stage, a pointwise conv (channels ->
-C_out*R) from the spectral columns, and end by adding the frozen bias. Only
-the frozen spatial stage between them differs:
+The separable pipelines realize an adapted layer without densifying it,
+through one forward and one backward shared by both kinds. Each starts with
+the same trainable stage, a pointwise conv (channels -> C_out*R) from the
+spectral columns, runs its kind's list of frozen spatial stages, sums each
+filter's terms and adds the frozen bias. Every spatial stage is a grouped
+conv in which each output channel reads its own group of inputs:
 
 * CP: a vertical depthwise (k1 x 1) conv from the x taps, then a horizontal
-  depthwise (1 x k2) conv from the y taps, then a sum over each filter's R
-  channels.
+  depthwise (1 x k2) conv from the y taps; each filter has R terms.
 * Tucker: one grouped (k1 x k2) conv with groups = C_out whose group o maps
-  its R channels to one output through the core of filter o.
+  its R channels to one output through the core of filter o; each filter
+  has one term.
 
 Both match the dense convolution of the decompressed bank to float64
 round-off. The pointwise stages carry no bias so the pipelines stay exactly
@@ -108,7 +110,7 @@ class Conv2dLayer:
     _need_dx = True
 
     def __init__(self, weight: Param, bias: Param | None = None,
-                 stride=1, padding=0, groups=1):
+                 stride=1, padding=0):
         if weight.value.ndim != 4:
             raise ShapeError(f"{weight.name} must be order 4, got shape {weight.value.shape}")
         if bias is not None and bias.value.shape != weight.value.shape[:1]:
@@ -120,7 +122,6 @@ class Conv2dLayer:
         self.bias = bias
         self.stride = stride
         self.padding = padding
-        self.groups = groups
 
     def params(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -131,18 +132,18 @@ class Conv2dLayer:
 
     @property
     def in_channels(self):
-        return self.weight.value.shape[1] * self.groups
+        return self.weight.value.shape[1]
 
     def forward(self, x):
         self._x = x
         return conv2d(x, self.weight.value,
                       self.bias.value if self.bias is not None else None,
-                      self.stride, self.padding, self.groups)
+                      self.stride, self.padding)
 
     def backward(self, dout):
         need_db = self.bias is not None and self.bias.trainable
         dx, dw, db = conv2d_backward(
-            self._x, self.weight.value, dout, self.stride, self.padding, self.groups,
+            self._x, self.weight.value, dout, self.stride, self.padding,
             need_dx=self._need_dx, need_dw=self.weight.trainable, need_db=need_db,
         )
         if self.weight.trainable:
@@ -159,13 +160,13 @@ class _InputConv2dLayer(Conv2dLayer):
 
 
 class _SpectralFirstLayer:
-    """What the CP and Tucker pipelines share: everything but the spatial stage.
+    """The one forward and backward of the CP and Tucker pipelines.
 
     The trainable spectral block (C_out, channels, R) runs as one bias-free
     pointwise conv to C_out*R channels, channel o*R+r from column r of
-    filter o. Each subclass follows it with its frozen per-filter spatial
-    stage inside its own ``forward``/``backward``, which begin with
-    :meth:`_spectral_forward` / end with :meth:`_spectral_backward`.
+    filter o. Each subclass declares only its frozen spatial stages,
+    :meth:`_stages`, as ``(weight, stride, padding)`` tuples; every stage
+    is a grouped conv with one group per output channel.
     """
 
     kind: str
@@ -195,10 +196,6 @@ class _SpectralFirstLayer:
         return self.spectral.value.shape[1]
 
     @property
-    def rank(self):
-        return self.spectral.value.shape[2]
-
-    @property
     def _spatial_blocks(self):
         # The kind's frozen AdaptedLayer arrays, in parameter order.
         return _COMPONENTS[self.kind][1:]
@@ -207,22 +204,33 @@ class _SpectralFirstLayer:
         co, cn, rk = self.spectral.value.shape
         return self.spectral.value.transpose(0, 2, 1).reshape(co * rk, cn, 1, 1)
 
-    def _spectral_forward(self, x):
-        x4, self._squeeze = _batched(x)
+    def forward(self, x):
+        x4, squeeze = _batched(x)
         if x4.shape[1] != self.in_channels:
             raise ShapeError(f"input has {x4.shape[1]} channels, layer expects {self.in_channels}")
         self._x4 = x4
-        self._h1 = conv2d(x4, self._pointwise_weight())
-        return self._h1
-
-    def _output(self, out):
+        h = conv2d(x4, self._pointwise_weight())
+        self._stage_inputs = []
+        for w, stride, padding in self._stages():
+            self._stage_inputs.append(h)
+            h = conv2d(h, w, stride=stride, padding=padding, groups=w.shape[0])
+        # Each filter's terms are adjacent channels: R for CP, 1 for Tucker.
+        n, c, ho, wo = h.shape
+        out = h.reshape(n, self.out_channels, c // self.out_channels, ho, wo).sum(axis=2)
         if self.bias is not None:
             out = out + self.bias.value[:, None, None]
-        return out[0] if self._squeeze else out
+        return out[0] if squeeze else out
 
-    def _spectral_backward(self, dh1):
+    def backward(self, dout):
+        d4, _ = _batched(dout)
+        stages = self._stages()
+        # The sum over each filter's terms hands every term the same gradient.
+        d = np.repeat(d4, stages[-1][0].shape[0] // self.out_channels, axis=1)
+        for (w, stride, padding), h in zip(reversed(stages), reversed(self._stage_inputs)):
+            d, _, _ = conv2d_backward(h, w, d, stride=stride, padding=padding,
+                                      groups=w.shape[0], need_dw=False)
         co, cn, rk = self.spectral.value.shape
-        _, dw, _ = conv2d_backward(self._x4, self._pointwise_weight(), dh1,
+        _, dw, _ = conv2d_backward(self._x4, self._pointwise_weight(), d,
                                    need_dx=False, need_dw=self.spectral.trainable)
         if self.spectral.trainable:
             self.spectral.grad = np.ascontiguousarray(dw.reshape(co, rk, cn).transpose(0, 2, 1))
@@ -240,56 +248,33 @@ class CpFirstLayer(_SpectralFirstLayer):
     """Separable realization of a CP adapted layer. Only the spectral block trains."""
 
     kind = CP
+    # Own bindings: benchmarks/tracer.py wraps only methods in a class's __dict__.
+    forward = _SpectralFirstLayer.forward
+    backward = _SpectralFirstLayer.backward
 
-    def _taps(self):
+    def _stages(self):
         # One depthwise filter per pointwise channel o*R+r: x taps (k1 x 1),
         # then y taps (1 x k2).
         co, k1, rk = self.x.value.shape
         k2 = self.y.value.shape[1]
+        sh, sw = _pair(self.stride)
+        ph, pw = _pair(self.padding)
         wv = self.x.value.transpose(0, 2, 1).reshape(co * rk, 1, k1, 1)
         wh = self.y.value.transpose(0, 2, 1).reshape(co * rk, 1, 1, k2)
-        return wv, wh
-
-    def forward(self, x):
-        h1 = self._spectral_forward(x)
-        sh, sw = _pair(self.stride)
-        ph, pw = _pair(self.padding)
-        wv, wh = self._taps()
-        self._h2 = conv2d(h1, wv, stride=(sh, 1), padding=(ph, 0), groups=wv.shape[0])
-        h3 = conv2d(self._h2, wh, stride=(1, sw), padding=(0, pw), groups=wh.shape[0])
-        n, _, ho, wo = h3.shape
-        return self._output(h3.reshape(n, self.out_channels, self.rank, ho, wo).sum(axis=2))
-
-    def backward(self, dout):
-        d4, _ = _batched(dout)
-        sh, sw = _pair(self.stride)
-        ph, pw = _pair(self.padding)
-        wv, wh = self._taps()
-        # The sum over each filter's R terms hands every term the same gradient.
-        dh3 = np.repeat(d4, self.rank, axis=1)
-        dh2, _, _ = conv2d_backward(self._h2, wh, dh3, stride=(1, sw), padding=(0, pw),
-                                    groups=wh.shape[0], need_dw=False)
-        dh1, _, _ = conv2d_backward(self._h1, wv, dh2, stride=(sh, 1), padding=(ph, 0),
-                                    groups=wv.shape[0], need_dw=False)
-        self._spectral_backward(dh1)
+        return [(wv, (sh, 1), (ph, 0)), (wh, (1, sw), (0, pw))]
 
 
 class TuckerFirstLayer(_SpectralFirstLayer):
     """Pointwise + grouped-conv realization of a Tucker adapted layer."""
 
     kind = TUCKER
+    # Own bindings: benchmarks/tracer.py wraps only methods in a class's __dict__.
+    forward = _SpectralFirstLayer.forward
+    backward = _SpectralFirstLayer.backward
 
-    def forward(self, x):
-        h1 = self._spectral_forward(x)
-        return self._output(conv2d(h1, self.core.value, stride=self.stride,
-                                   padding=self.padding, groups=self.out_channels))
-
-    def backward(self, dout):
-        d4, _ = _batched(dout)
-        dh1, _, _ = conv2d_backward(self._h1, self.core.value, d4, stride=self.stride,
-                                    padding=self.padding, groups=self.out_channels,
-                                    need_dw=False)
-        self._spectral_backward(dh1)
+    def _stages(self):
+        # Group o maps filter o's R channels to one output through its core.
+        return [(self.core.value, self.stride, self.padding)]
 
 
 class ReduceFirstLayer:

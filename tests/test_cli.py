@@ -199,17 +199,27 @@ class TestTrainCmd:
         assert f"labels must lie in [0, {n}) for {n} tiles" in capsys.readouterr().err
         assert not (tmp_path / "model.mdl1").exists()
 
-    def test_non_finite_train_tile_is_data_error(self, tmp_path, capsys):
-        train_ts, test_ts = synth_spectral_task(8, 2, 8, seed=0, tile=8)
-        train_ts.tiles[3, 5, 1, 2] = np.inf
-        train_path, test_path = tmp_path / "train.tls", tmp_path / "test.tls"
-        save_tiles(train_ts, str(train_path))
-        save_tiles(test_ts, str(test_path))
-        cfg = write_config(tmp_path, train_tiles=train_path, test_tiles=test_path)
-        assert main(["train", "--config", cfg]) == 1
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("command", [
+        ["train"], ["rank-sweep", "--ranks", "1", "--seeds", "1", "--out", "sweep.csv"],
+    ], ids=["train", "rank-sweep"])
+    def test_non_finite_tile_is_data_error(self, tmp_path, monkeypatch, capsys, command, split,
+                                           value):
+        monkeypatch.chdir(tmp_path)  # where a sweep would write
+        files = {}
+        for ts in synth_spectral_task(8, 2, 8, seed=0, tile=8):
+            if ts.split == split:
+                ts.tiles[3, 5, 1, 2] = value
+            files[f"{ts.split}_tiles"] = tmp_path / f"{ts.split}.tls"
+            save_tiles(ts, str(files[f"{ts.split}_tiles"]))
+        cfg = write_config(tmp_path, **files)
+        assert main([command[0], "--config", cfg, *command[1:]]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: channels [5] hold non-finite tile values"), err
-        assert not (tmp_path / "model.mdl1").exists()
+        want = {"train": "error: channels [5] hold non-finite tile values",
+                "test": "error: test tile channels [5] hold non-finite values"}[split]
+        assert err.startswith(want), err
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "test.tls", "train.tls"]
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.cfg"

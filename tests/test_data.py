@@ -113,6 +113,11 @@ class TestTiling:
         with pytest.raises(DataError):
             tile_remote_sensing(HyperCube(np.zeros((1, 20, 20))))
 
+    @pytest.mark.parametrize("tile, stride", [(11, 0), (11, -1), (0, 3), (-2, 3)])
+    def test_bad_tile_or_stride_is_shape_error(self, tile, stride):
+        with pytest.raises(ShapeError, match=rf"tile \({tile}\) and stride \({stride}\)"):
+            tile_remote_sensing(self._cube(), tile=tile, stride=stride)
+
 
 class TestNearRange:
     def test_identity_up_to_channel_drop(self):
@@ -135,6 +140,11 @@ class TestNearRange:
     def test_crop_too_large(self):
         with pytest.raises(ShapeError):
             preprocess_nearrange(HyperCube(np.zeros((1, 8, 8))), crop=9)
+
+    @pytest.mark.parametrize("pad", [-1, -5])
+    def test_negative_pad_is_shape_error(self, pad):
+        with pytest.raises(ShapeError, match=f"pad must be >= 0, got {pad}"):
+            preprocess_nearrange(HyperCube(np.zeros((1, 8, 8))), pad=pad)
 
     def test_zero_padding(self):
         cube = HyperCube(np.ones((2, 70, 70)))

@@ -77,6 +77,25 @@ class TestPipelines:
         dense = conv2d(x, decompress(layer), layer.bias, stride=2, padding=1)
         assert np.abs(got - dense).max() <= 1e-9
 
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1)])
+    def test_cp_equals_tucker_with_its_basis_as_cores(self, rank, stride, padding):
+        # CP is Tucker with a superdiagonal core: same outputs, same spectral gradient.
+        cp_layer = random_adapted("cp", 3, 5, rank, 3, seed=13)
+        tucker_layer = AdaptedLayer(kind="tucker", spectral=cp_layer.spectral.copy(),
+                                    core=cp_layer.basis, bias=cp_layer.bias)
+        cp = CpFirstLayer(cp_layer, stride=stride, padding=padding)
+        tucker = TuckerFirstLayer(tucker_layer, stride=stride, padding=padding)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 5, 9, 8))
+        out = cp.forward(x)
+        assert np.abs(out - tucker.forward(x)).max() <= 1e-12
+        dout = rng.standard_normal(out.shape)
+        cp.backward(dout)
+        tucker.backward(dout)
+        scale = np.abs(tucker.spectral.grad).max()
+        assert np.abs(cp.spectral.grad - tucker.spectral.grad).max() <= 1e-10 * scale
+
     def test_zero_spectral_gives_bias_only(self):
         layer = random_adapted("cp", 3, 4, 2, 3, seed=6)
         layer.spectral[:] = 0.0
