@@ -4,13 +4,15 @@ Two preprocessing routes mirror the common protocols:
 
 * remote sensing: slide a small window over a single labeled cube
   (``tile_remote_sensing``), keep tiles whose center pixel is labeled,
-  bilinearly resize each tile, then split tile-wise.
+  bilinearly resize each tile, then split tile-wise. Each kept tile is
+  written once, into one preallocated stack.
 * near-range: per-image classification (``preprocess_nearrange``): drop edge
   spectral channels, center-crop, resize, optionally zero-pad.
 
 Channel-wise mean/std normalization is fit on training tiles only and
 applied unchanged to test tiles; that is the only path that ever touches
-test data. The synthetic generators make desk-scale verification possible:
+test data. Both steps return new arrays and leave their input as it was.
+The synthetic generators make desk-scale verification possible:
 ``synth_filter_bank`` emits Gabor-flavored, exactly separable RGB filters
 and ``synth_spectral_task`` emits a classification task whose class-mean
 spectra are linearly separable by construction.
@@ -172,29 +174,40 @@ def tile_remote_sensing(cube: HyperCube, tile: int = 11, stride: int = 3,
     A tile is kept iff the label of its center pixel is >= 0; every kept tile
     is resized to resize_to x resize_to. Per axis there are
     floor((size - tile) / stride) + 1 candidate positions.
+
+    The kept tiles are counted first and written once, each straight into its
+    slot of one (N, C, resize_to, resize_to) stack. A window row gets one
+    vertical resize pass, which all of its kept tiles share; each tile then
+    takes its horizontal pass from that row. Every value is the same
+    ``lo + w * (hi - lo)`` that ``resize_bilinear`` computes, so the tiles are
+    bit-identical to resizing each patch on its own.
     """
     if cube.labels is None:
         raise DataError("remote-sensing tiling needs a per-pixel label map")
     if tile < 1 or stride < 1:
         raise ShapeError(f"tile ({tile}) and stride ({stride}) must be >= 1")
-    _, h, w = cube.data.shape
+    if resize_to < 1:
+        raise ShapeError(f"resize_to must be >= 1, got {resize_to}")
+    c, h, w = cube.data.shape
     if h < tile or w < tile:
         raise ShapeError(f"cube {h}x{w} smaller than tile {tile}")
-    half = tile // 2
-    tiles = []
-    labels = []
-    for i in range(0, h - tile + 1, stride):
-        for j in range(0, w - tile + 1, stride):
-            lab = int(cube.labels[i + half, j + half])
-            if lab < 0:
-                continue
-            patch = cube.data[:, i:i + tile, j:j + tile]
-            tiles.append(resize_bilinear(patch, resize_to, resize_to))
-            labels.append(lab)
-    if not tiles:
-        return TileSet(np.zeros((0, cube.channels, resize_to, resize_to)),
-                       np.zeros(0, dtype=np.int64))
-    return TileSet(np.stack(tiles), np.asarray(labels, dtype=np.int64))
+    tops = np.arange(0, h - tile + 1, stride)
+    lefts = np.arange(0, w - tile + 1, stride)
+    centers = cube.labels[np.ix_(tops + tile // 2, lefts + tile // 2)]
+    keep = centers >= 0
+    tiles = np.empty((int(keep.sum()), c, resize_to, resize_to))
+    lo, hi, wt = _axis_weights(tile, resize_to)
+    k = 0
+    for i, row_keep in zip(tops, keep):
+        if not row_keep.any():
+            continue
+        top = cube.data[:, i + lo]
+        rows = top + wt[:, None] * (cube.data[:, i + hi] - top)
+        for j in lefts[row_keep]:
+            left = rows[..., j + lo]
+            np.add(left, wt * (rows[..., j + hi] - left), out=tiles[k])
+            k += 1
+    return TileSet(tiles, centers[keep].astype(np.int64))
 
 
 def preprocess_nearrange(cube: HyperCube, crop: int | None = None,
@@ -226,27 +239,40 @@ def preprocess_nearrange(cube: HyperCube, crop: int | None = None,
     return HyperCube(np.ascontiguousarray(data))
 
 
-def _fit_stats(tiles: np.ndarray) -> Stats:
-    mean = tiles.mean(axis=(0, 2, 3))
-    std = tiles.std(axis=(0, 2, 3))  # population formula
+def normalize(ts: TileSet) -> TileSet:
+    """Fit channel-wise mean/std on these tiles and shift them; stats ride along.
+
+    Returns a new tile set and never modifies ``ts``. The std uses the
+    population formula and is fit without a centered copy: ``tiles - mean`` is
+    written once, into the result, whose per-image sums of squares are added
+    image by image before the result is divided in place. For two or more
+    channels the std equals ``tiles.std(axis=(0, 2, 3))`` bit for bit; with
+    one channel numpy sums the whole flattened array pairwise, so the two can
+    differ in the last bits (within 1e-12 relative). A channel whose std is
+    below 1e-12 is divided by 1.
+    """
+    if len(ts) == 0:
+        raise DataError("cannot fit normalization on an empty tile set")
+    mean = ts.tiles.mean(axis=(0, 2, 3))
+    tiles = ts.tiles - mean[:, None, None]
+    sq = np.zeros(ts.channels)
+    for img in tiles:
+        sq += np.square(img).sum(axis=(1, 2))
+    std = np.sqrt(sq / (tiles.size // ts.channels))
     # A NaN or infinite tile value makes its channel's mean or std non-finite.
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
         raise DataError(f"channels {bad.tolist()} hold non-finite tile values")
     std = np.where(std < 1e-12, 1.0, std)
-    return Stats(mean=mean, std=std)
-
-
-def normalize(ts: TileSet) -> TileSet:
-    """Fit channel-wise mean/std on these tiles and shift them; stats ride along."""
-    if len(ts) == 0:
-        raise DataError("cannot fit normalization on an empty tile set")
-    stats = _fit_stats(ts.tiles)
-    return apply_stats(ts, stats)
+    tiles /= std[:, None, None]
+    return replace(ts, tiles=tiles, stats=Stats(mean=mean, std=std))
 
 
 def apply_stats(ts: TileSet, stats: Stats) -> TileSet:
-    """Shift tiles with previously fit stats (the only path that touches test tiles)."""
+    """Shift tiles with previously fit stats (the only path that touches test tiles).
+
+    Returns a new tile set and never modifies ``ts``.
+    """
     tiles = ts.tiles - stats.mean[:, None, None]
     tiles /= stats.std[:, None, None]
     return replace(ts, tiles=tiles, stats=stats)

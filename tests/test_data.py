@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,60 @@ class TestTiling:
         with pytest.raises(ShapeError, match=rf"tile \({tile}\) and stride \({stride}\)"):
             tile_remote_sensing(self._cube(), tile=tile, stride=stride)
 
+    @pytest.mark.parametrize("label", [1, -1])
+    @pytest.mark.parametrize("resize_to", [0, -1])
+    def test_bad_resize_is_shape_error(self, resize_to, label):
+        with pytest.raises(ShapeError, match=f"resize_to must be >= 1, got {resize_to}"):
+            tile_remote_sensing(self._cube(label=label), resize_to=resize_to)
+
+    @staticmethod
+    def _loop_tiles(cube, tile, stride, resize_to):
+        """Oracle: resize each kept patch on its own, then stack."""
+        half = tile // 2
+        tiles, labels = [], []
+        for i in range(0, cube.data.shape[1] - tile + 1, stride):
+            for j in range(0, cube.data.shape[2] - tile + 1, stride):
+                if cube.labels[i + half, j + half] >= 0:
+                    patch = cube.data[:, i:i + tile, j:j + tile]
+                    tiles.append(resize_bilinear(patch, resize_to, resize_to))
+                    labels.append(cube.labels[i + half, j + half])
+        shape = (len(tiles), cube.channels, resize_to, resize_to)
+        return np.stack(tiles) if tiles else np.zeros(shape), np.asarray(labels, dtype=np.int64)
+
+    @pytest.mark.parametrize("kept", ["none", "all", "scattered"])
+    @pytest.mark.parametrize("channels", [1, 3, 103])
+    @pytest.mark.parametrize("h, w, tile, stride, resize_to", [
+        (11, 11, 11, 3, 16),   # cube sides equal to the tile
+        (23, 26, 11, 5, 16),   # the stride steps past the last window
+        (20, 23, 11, 3, 7),    # resized down
+        (19, 22, 4, 2, 9),     # resized up
+        (17, 20, 5, 4, 1),     # resized to one pixel
+        (16, 19, 1, 3, 2),     # one-pixel tiles
+    ])
+    def test_bit_identical_to_resizing_each_patch(self, h, w, tile, stride, resize_to,
+                                                  channels, kept):
+        rng = np.random.default_rng(h * 1000 + channels)
+        data = rng.standard_normal((channels, h, w))
+        labels = {"none": np.full((h, w), -1),
+                  "all": rng.integers(0, 5, (h, w)),
+                  "scattered": rng.integers(-1, 3, (h, w))}[kept]
+        cube = HyperCube(data, labels)
+        ts = tile_remote_sensing(cube, tile=tile, stride=stride, resize_to=resize_to)
+        tiles, labels = self._loop_tiles(cube, tile, stride, resize_to)
+        assert ts.tiles.shape == tiles.shape
+        assert np.array_equal(ts.tiles, tiles)
+        assert np.array_equal(ts.labels, labels)
+
+    def test_peak_memory_near_the_tiles(self):
+        cube = self._cube(h=64, w=64, channels=103)
+        tracemalloc.start()
+        try:
+            ts = tile_remote_sensing(cube, tile=11, stride=3, resize_to=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ts.tiles.nbytes
+
 
 class TestNearRange:
     def test_identity_up_to_channel_drop(self):
@@ -200,6 +256,37 @@ class TestNormalize:
         assert np.allclose(test_n.tiles, expected)
         # stats object is untouched by the test pass
         assert test_n.stats is train_n.stats
+
+    @pytest.mark.parametrize("n, h, w", [(1, 1, 1), (7, 1, 1), (200, 16, 16), (300, 4, 4),
+                                         (13, 3, 5), (9, 7, 9), (4, 33, 17)])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 64, 103])
+    def test_std_matches_numpy(self, n, h, w, channels):
+        rng = np.random.default_rng(n * h * w + channels)
+        tiles = rng.standard_normal((n, channels, h, w)) * 3 + 1
+        ts = TileSet(tiles, np.zeros(n, dtype=int), split="train")
+        out = normalize(ts)
+        stats = out.stats
+        assert np.array_equal(out.tiles, apply_stats(ts, stats).tiles)
+        expected = tiles.std(axis=(0, 2, 3))
+        assert np.array_equal(stats.mean, tiles.mean(axis=(0, 2, 3)))
+        if channels >= 2:
+            assert np.array_equal(stats.std, np.where(expected < 1e-12, 1.0, expected))
+        elif n * h * w > 1:
+            # numpy sums one channel's flattened array pairwise, image blocks not kept apart
+            assert np.abs(stats.std - expected).max() <= 1e-12 * expected.max()
+
+    def test_inputs_left_unchanged(self):
+        rng = np.random.default_rng(10)
+        train_ts = TileSet(rng.standard_normal((12, 3, 5, 5)), rng.integers(0, 2, 12),
+                           split="train")
+        test_ts = TileSet(rng.standard_normal((8, 3, 5, 5)), rng.integers(0, 2, 8),
+                          split="test")
+        before = train_ts.tiles.tobytes(), test_ts.tiles.tobytes()
+        train_n = normalize(train_ts)
+        test_n = apply_stats(test_ts, train_n.stats)
+        assert (train_ts.tiles.tobytes(), test_ts.tiles.tobytes()) == before
+        assert not np.shares_memory(train_n.tiles, train_ts.tiles)
+        assert not np.shares_memory(test_n.tiles, test_ts.tiles)
 
 
 class TestSynthBank:
