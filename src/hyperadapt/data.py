@@ -175,12 +175,9 @@ def tile_remote_sensing(cube: HyperCube, tile: int = 11, stride: int = 3,
     is resized to resize_to x resize_to. Per axis there are
     floor((size - tile) / stride) + 1 candidate positions.
 
-    The kept tiles are counted first and written once, each straight into its
-    slot of one (N, C, resize_to, resize_to) stack. A window row gets one
-    vertical resize pass, which all of its kept tiles share; each tile then
-    takes its horizontal pass from that row. Every value is the same
-    ``lo + w * (hi - lo)`` that ``resize_bilinear`` computes, so the tiles are
-    bit-identical to resizing each patch on its own.
+    The kept tiles are counted first and each is resized straight into its
+    slot of one preallocated (N, C, resize_to, resize_to) stack, so the tiles
+    are bit-identical to resizing each patch on its own and stacking them.
     """
     if cube.labels is None:
         raise DataError("remote-sensing tiling needs a per-pixel label map")
@@ -196,17 +193,9 @@ def tile_remote_sensing(cube: HyperCube, tile: int = 11, stride: int = 3,
     centers = cube.labels[np.ix_(tops + tile // 2, lefts + tile // 2)]
     keep = centers >= 0
     tiles = np.empty((int(keep.sum()), c, resize_to, resize_to))
-    lo, hi, wt = _axis_weights(tile, resize_to)
-    k = 0
-    for i, row_keep in zip(tops, keep):
-        if not row_keep.any():
-            continue
-        top = cube.data[:, i + lo]
-        rows = top + wt[:, None] * (cube.data[:, i + hi] - top)
-        for j in lefts[row_keep]:
-            left = rows[..., j + lo]
-            np.add(left, wt * (rows[..., j + hi] - left), out=tiles[k])
-            k += 1
+    rows, cols = np.nonzero(keep)
+    for k, (i, j) in enumerate(zip(tops[rows].tolist(), lefts[cols].tolist())):
+        tiles[k] = resize_bilinear(cube.data[:, i:i + tile, j:j + tile], resize_to, resize_to)
     return TileSet(tiles, centers[keep].astype(np.int64))
 
 
